@@ -7,7 +7,7 @@ GO      ?= go
 JOBS    ?= 4
 TMP     ?= /tmp/iatsim
 
-.PHONY: all build lint simlint lint-baseline vet fmtcheck test race smoke telemetry-smoke chaos-smoke fleet-smoke ckpt-smoke bench bench-baseline bench-diff determinism scaling clean
+.PHONY: all build lint simlint vet fmtcheck test race smoke telemetry-smoke chaos-smoke fleet-smoke ckpt-smoke bench bench-baseline bench-diff determinism scaling clean
 
 all: build lint test race telemetry-smoke chaos-smoke fleet-smoke ckpt-smoke
 
@@ -22,13 +22,6 @@ lint: simlint vet fmtcheck
 
 simlint: build
 	$(GO) run ./cmd/simlint
-
-# lint-baseline regenerates results/simlint-baseline.csv (deterministic:
-# rows are sorted, so the diff in a PR shows exactly the enforcement
-# drift). CI's lint job diffs against the committed file and fails only
-# on NEW findings.
-lint-baseline: build
-	$(GO) run ./cmd/simlint -baseline results/simlint-baseline.csv -write
 
 vet:
 	$(GO) vet ./...

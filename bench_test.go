@@ -358,7 +358,7 @@ func BenchmarkPolicyDecide(b *testing.B) {
 		return s
 	}
 	quiet, loud := mkSample(1e3), mkSample(5e6)
-	for _, name := range []string{"iat", "static:2", "ioca", "greedy"} {
+	for _, name := range []string{"iat", "static:2", "ioca", "greedy", "coreonly", "ioiso"} {
 		b.Run(name, func(b *testing.B) {
 			spec, err := policy.ParseSpec(name)
 			if err != nil {

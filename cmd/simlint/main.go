@@ -10,8 +10,6 @@
 //	simlint -dir path/to/module            # lint another module root
 //	simlint -format json                   # machine-readable findings
 //	simlint -format sarif                  # SARIF 2.1.0 for code-scanning upload
-//	simlint -baseline results/simlint-baseline.csv -write  # regenerate baseline
-//	simlint -baseline results/simlint-baseline.csv -diff   # fail only on NEW findings
 //	simlint -timing                        # per-analyzer wall time on stderr
 //
 // Findings print as "file:line: [analyzer] message". A finding is
@@ -20,12 +18,8 @@
 //	//simlint:ignore <analyzer> <reason>
 //
 // A directive on a function declaration additionally suppresses
-// interprocedural findings whose call chain passes through it.
-//
-// In -diff mode the exit code ignores pre-existing findings: only a
-// per-analyzer, per-package count above the baseline fails the run, so
-// the linter can be tightened (or a violation grandfathered) without
-// blocking unrelated work. See EXPERIMENTS.md ("Static analysis").
+// interprocedural findings whose call chain passes through it. Any
+// active finding fails the run. See EXPERIMENTS.md ("Static analysis").
 package main
 
 import (
@@ -35,9 +29,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"iatsim/internal/lint"
@@ -52,23 +43,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", ".", "module root to lint (any directory inside it works)")
 	format := fs.String("format", "text", "output format: text, json, or sarif")
-	baseline := fs.String("baseline", "", "baseline CSV path (analyzer,package,findings,suppressed)")
-	diff := fs.Bool("diff", false, "exit nonzero only on findings NEW relative to -baseline")
-	write := fs.Bool("write", false, "write the current counts to -baseline and exit")
 	timing := fs.Bool("timing", false, "report per-analyzer wall time on stderr")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *format != "text" && *format != "json" && *format != "sarif" {
 		fmt.Fprintf(stderr, "simlint: unknown -format %q (want text, json, or sarif)\n", *format)
-		return 2
-	}
-	if (*diff || *write) && *baseline == "" {
-		fmt.Fprintln(stderr, "simlint: -diff and -write need -baseline <path>")
-		return 2
-	}
-	if *diff && *write {
-		fmt.Fprintln(stderr, "simlint: -diff and -write are mutually exclusive")
 		return 2
 	}
 
@@ -92,16 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	findings := suite.Finish()
-	rows := countRows(analyzers, findings)
-
-	if *write {
-		if err := writeBaselineFile(*baseline, rows); err != nil {
-			fmt.Fprintf(stderr, "simlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "simlint: wrote %s (%d rows)\n", *baseline, len(rows))
-		return 0
-	}
 
 	active := 0
 	suppressed := 0
@@ -134,26 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *diff {
-		base, err := readBaselineFile(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "simlint: %v\n", err)
-			return 2
-		}
-		increases := diffRows(rows, base)
-		for _, d := range increases {
-			fmt.Fprintf(stderr, "simlint: NEW findings: %s in %s: %d (baseline %d)\n",
-				d.Analyzer, d.Pkg, d.Findings, d.base)
-		}
-		if len(increases) > 0 {
-			fmt.Fprintf(stderr, "simlint: %d analyzer/package pair(s) above baseline %s\n", len(increases), *baseline)
-			return 1
-		}
-		fmt.Fprintf(stderr, "simlint: no new findings relative to %s (%d pre-existing, %d suppressed)\n",
-			*baseline, active, suppressed)
-		return 0
-	}
-
 	if active > 0 {
 		fmt.Fprintf(stderr, "simlint: %d finding(s) in %s\n", active, mod.Path)
 		return 1
@@ -171,112 +121,6 @@ func relPath(root, path string) string {
 		return rel
 	}
 	return path
-}
-
-// countRow is one baseline CSV row.
-type countRow struct {
-	Analyzer   string
-	Pkg        string
-	Findings   int
-	Suppressed int
-
-	base int // baseline findings count, filled by diffRows
-}
-
-// countRows aggregates findings per analyzer and package, with an
-// "(all)" total row per analyzer so the analyzer list is recorded even on
-// a clean tree. Rows are sorted, so baseline files are deterministic.
-func countRows(analyzers []*lint.Analyzer, findings []lint.Finding) []countRow {
-	type key struct{ analyzer, pkg string }
-	counts := map[key]*countRow{}
-	get := func(k key) *countRow {
-		if counts[k] == nil {
-			counts[k] = &countRow{Analyzer: k.analyzer, Pkg: k.pkg}
-		}
-		return counts[k]
-	}
-	for _, f := range findings {
-		for _, k := range []key{{f.Analyzer, f.Package}, {f.Analyzer, "(all)"}} {
-			c := get(k)
-			if f.Suppressed {
-				c.Suppressed++
-			} else {
-				c.Findings++
-			}
-		}
-	}
-	for _, a := range analyzers {
-		get(key{a.Name, "(all)"})
-	}
-	get(key{lint.MetaAnalyzer, "(all)"})
-
-	rows := make([]countRow, 0, len(counts))
-	for _, c := range counts {
-		rows = append(rows, *c)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Analyzer != rows[j].Analyzer {
-			return rows[i].Analyzer < rows[j].Analyzer
-		}
-		return rows[i].Pkg < rows[j].Pkg
-	})
-	return rows
-}
-
-const baselineHeader = "analyzer,package,findings,suppressed"
-
-func writeBaselineFile(path string, rows []countRow) error {
-	var b strings.Builder
-	b.WriteString(baselineHeader + "\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%s,%d,%d\n", r.Analyzer, r.Pkg, r.Findings, r.Suppressed)
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
-// readBaselineFile parses a baseline CSV into findings counts keyed by
-// analyzer and package.
-func readBaselineFile(path string) (map[[2]string]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	out := map[[2]string]int{}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	for i, line := range lines {
-		if i == 0 {
-			if line != baselineHeader {
-				return nil, fmt.Errorf("baseline %s: header %q, want %q", path, line, baselineHeader)
-			}
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("baseline %s:%d: %d fields, want 4", path, i+1, len(parts))
-		}
-		n, err := strconv.Atoi(parts[2])
-		if err != nil {
-			return nil, fmt.Errorf("baseline %s:%d: findings count: %v", path, i+1, err)
-		}
-		out[[2]string{parts[0], parts[1]}] = n
-	}
-	return out, nil
-}
-
-// diffRows returns the rows whose active-finding count exceeds the
-// baseline. Unknown rows count against a baseline of zero; suppressed
-// counts never fail a diff (suppressions carry written reasons and are
-// reviewed in the PR that adds them).
-func diffRows(rows []countRow, base map[[2]string]int) []countRow {
-	var out []countRow
-	for _, r := range rows {
-		b := base[[2]string{r.Analyzer, r.Pkg}]
-		if r.Findings > b {
-			r.base = b
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // jsonFinding is the -format json shape of one finding.

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -25,79 +24,6 @@ func TestCleanTreeExitsZero(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "simlint: clean") {
 		t.Fatalf("missing clean summary:\n%s", out.String())
-	}
-}
-
-// TestDiffAgainstCommittedBaseline is the no-new-findings gate at HEAD.
-func TestDiffAgainstCommittedBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	var out, errOut bytes.Buffer
-	code := run([]string{"-dir", "../..", "-baseline", "../../results/simlint-baseline.csv", "-diff"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("diff exit %d at HEAD, want 0\nstderr:\n%s", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "no new findings") {
-		t.Fatalf("missing diff summary:\n%s", errOut.String())
-	}
-}
-
-// TestDiffFlagsNewFindings injects findings (the seeded chainmod fixture
-// against an empty baseline) and requires exit 1 naming them.
-func TestDiffFlagsNewFindings(t *testing.T) {
-	empty := filepath.Join(t.TempDir(), "empty.csv")
-	if err := os.WriteFile(empty, []byte("analyzer,package,findings,suppressed\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errOut bytes.Buffer
-	code := run([]string{"-dir", chainmod, "-baseline", empty, "-diff"}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("diff exit %d with seeded findings over empty baseline, want 1\nstderr:\n%s", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "NEW findings") || !strings.Contains(errOut.String(), "detlint") {
-		t.Fatalf("diff should name the new findings:\n%s", errOut.String())
-	}
-}
-
-// TestWriteThenDiffRoundTrips regenerates a baseline and diffs against
-// it: grandfathered findings must not fail, and the file must be
-// deterministic.
-func TestWriteThenDiffRoundTrips(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "base.csv")
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-dir", chainmod, "-baseline", base, "-write"}, &out, &errOut); code != 0 {
-		t.Fatalf("write exit %d, want 0\nstderr:\n%s", code, errOut.String())
-	}
-	first, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(first), "analyzer,package,findings,suppressed\n") {
-		t.Fatalf("baseline header wrong:\n%s", first)
-	}
-	for _, name := range []string{"detlint", "maporder", "msrlint", "seedflow", "statelint", "telemlint", "simlint"} {
-		if !strings.Contains(string(first), "\n"+name+",(all),") {
-			t.Fatalf("baseline missing analyzer %q:\n%s", name, first)
-		}
-	}
-
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-dir", chainmod, "-baseline", base, "-diff"}, &out, &errOut); code != 0 {
-		t.Fatalf("diff exit %d against just-written baseline, want 0\nstderr:\n%s", code, errOut.String())
-	}
-
-	// Determinism: a second write must be byte-identical.
-	if code := run([]string{"-dir", chainmod, "-baseline", base, "-write"}, &out, &errOut); code != 0 {
-		t.Fatalf("second write exit %d", code)
-	}
-	second, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatalf("baseline not deterministic:\n--- first\n%s\n--- second\n%s", first, second)
 	}
 }
 
@@ -254,9 +180,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	cases := [][]string{
 		{"-dir", "/nonexistent-simlint-dir"},
 		{"-format", "xml"},
-		{"-diff"},
-		{"-write"},
-		{"-baseline", "x.csv", "-diff", "-write"},
+		{"-baseline", "x.csv"},
 	}
 	for _, args := range cases {
 		var out, errOut bytes.Buffer

@@ -440,6 +440,7 @@ func (d *Daemon) iterate(nowNS float64) {
 // execute performs the policy's re-allocation operations against the
 // machine and returns the decision that actually took effect (a
 // TryShuffle whose layout pass wrote nothing resolves to its Fallback).
+// A Layout is programmed as given instead of the daemon's own packing.
 // The isolation switches are enforced here again, so a misbehaving policy
 // cannot bypass them.
 func (d *Daemon) execute(a policy.Actions) policy.Actions {
@@ -449,6 +450,12 @@ func (d *Daemon) execute(a policy.Actions) policy.Actions {
 		}
 		if a.Fallback != nil {
 			return d.execute(*a.Fallback)
+		}
+		return a
+	}
+	if a.Layout != nil {
+		if !d.Opts.DisableTenantAdjust {
+			d.programLayout(a.Layout)
 		}
 		return a
 	}
@@ -476,6 +483,22 @@ func (d *Daemon) execute(a policy.Actions) policy.Actions {
 		d.apply()
 	}
 	return a
+}
+
+// programLayout writes a policy's complete tenant layout through
+// programCLOS, in registration order, and re-derives every group's width
+// from the register it now holds.
+func (d *Daemon) programLayout(layout map[int]cache.WayMask) {
+	for _, g := range d.groups {
+		m, ok := layout[g.CLOS]
+		if !ok {
+			continue
+		}
+		if d.sys.CLOSMask(g.CLOS) != m && d.programCLOS(g.CLOS, m) {
+			d.emitMask(fmt.Sprintf("clos%d=%v", g.CLOS, m))
+		}
+		g.Width = d.sys.CLOSMask(g.CLOS).Count()
+	}
 }
 
 // shadowTick feeds one accepted sample plus the executed decision to the

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"iatsim/internal/cache"
+	"iatsim/internal/policy"
 	"iatsim/internal/rdt"
 )
 
@@ -382,5 +383,49 @@ func TestGrowthPolicyString(t *testing.T) {
 	// value rather than an empty or aliased name.
 	if got := GrowthPolicy(7).String(); got != "GrowthPolicy(7)" {
 		t.Errorf("GrowthPolicy(7).String() = %q, want GrowthPolicy(7)", got)
+	}
+}
+
+// TestExecuteLayout: a policy's complete layout (here I/O-iso-style, with
+// two groups overlapping) is written through programCLOS — so a register
+// that never takes the write is counted as a failure — every group's
+// width follows the mask its register now holds, and the daemon's own
+// packing does not run. Under DisableTenantAdjust the layout is refused.
+func TestExecuteLayout(t *testing.T) {
+	tenants := []TenantInfo{ioTenant("fwd", 1, 0, PC), beTenant("a", 2, 1), beTenant("b", 3, 2)}
+	layout := map[int]cache.WayMask{
+		1: cache.ContiguousMask(0, 4),
+		2: cache.ContiguousMask(4, 2),
+		3: cache.ContiguousMask(5, 3),
+	}
+	a := policy.Actions{DDIOWays: 2, Grow: []int{1}, Layout: layout, Desc: "layout"}
+
+	// Every attempt at the first write (clos 1, registration order) fails.
+	fs := &flakySys{mockSys: newMockSys(tenants), failCLOS: 3}
+	d := testDaemon(t, fs, Options{})
+	d.getTenantInfo()
+	d.execute(a)
+	want := map[int]cache.WayMask{1: cache.ContiguousMask(0, 2), 2: layout[2], 3: layout[3]}
+	for clos, m := range want {
+		if fs.masks[clos] != m {
+			t.Errorf("clos %d register = %v, want %v", clos, fs.masks[clos], m)
+		}
+		if w := d.byCLOS[clos].Width; w != m.Count() {
+			t.Errorf("clos %d width = %d, want %d from its register", clos, w, m.Count())
+		}
+	}
+	if h := d.Health(); h.WriteFailures != 1 || h.WriteRetries != 2 {
+		t.Errorf("health = %+v, want the clos 1 write retried and failed", h)
+	}
+	if fs.ddioWrites != 0 {
+		t.Errorf("layout action wrote DDIO %d times", fs.ddioWrites)
+	}
+
+	m := newMockSys(tenants)
+	d = testDaemon(t, m, Options{DisableTenantAdjust: true})
+	d.getTenantInfo()
+	d.execute(a)
+	if m.maskWrites != 0 || d.byCLOS[1].Width != 2 {
+		t.Fatalf("layout under DisableTenantAdjust: %d writes, clos 1 width %d", m.maskWrites, d.byCLOS[1].Width)
 	}
 }

@@ -21,6 +21,11 @@ import (
 //     [DDIO_WAYS_MIN, DDIO_WAYS_MAX];
 //  4. performance-critical tenants never share ways with DDIO while any
 //     best-effort tenant exists that could take the overlap instead.
+//
+// It runs the IAT policy only. The paper's comparators break invariants 2
+// and 4 on purpose: Core-only grows a performance-critical tenant onto the
+// DDIO ways, and I/O-iso overlaps tenants once DDIO leaves them too few
+// ways. Showing what that costs is the point of Fig. 10.
 func TestDaemonInvariantsUnderRandomCounterStreams(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -184,7 +184,9 @@ type Options struct {
 	// Latent Contender experiment isolates shuffling this way).
 	DisableDDIOAdjust bool
 	// DisableShuffle stops best-effort tenants from being re-ordered
-	// against DDIO (the Core-only comparison point).
+	// against DDIO (the mechanism ablation's ddio-only variant). The
+	// paper's Core-only comparator is a policy of its own
+	// (policy.KindCoreOnly).
 	DisableShuffle bool
 	// DisableTenantAdjust stops IAT from growing/shrinking tenant
 	// allocations (the application study isolates DDIO sizing +

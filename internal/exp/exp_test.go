@@ -381,6 +381,26 @@ func TestAblationResQTradeoff(t *testing.T) {
 	}
 }
 
+func TestResQRingEntries(t *testing.T) {
+	cases := []struct {
+		name            string
+		ddioBytes       uint64
+		rings, bufBytes int
+		want            int
+	}{
+		// 4.5MB DDIO capacity, 2 rings of 2KB buffers: 1152 entries -> 1024.
+		{"rounds down to a power of two", 4_718_592, 2, 2048, 1024},
+		// 20 rings: 115 entries -> floor at 64.
+		{"floors at 64", 4_718_592, 20, 2048, 64},
+		{"degenerate inputs floor at 64", 0, 0, 0, 64},
+	}
+	for _, c := range cases {
+		if got := resqRingEntries(c.ddioBytes, c.rings, c.bufBytes); got != c.want {
+			t.Errorf("%s: resqRingEntries(%d, %d, %d) = %d, want %d", c.name, c.ddioBytes, c.rings, c.bufBytes, got, c.want)
+		}
+	}
+}
+
 func TestWriteRowsCSV(t *testing.T) {
 	rows := []Fig3Row{
 		{PktSize: 64, RingSize: 128, MaxMpps: 2.5, LineRateMpps: 59.52, Trials: 7},

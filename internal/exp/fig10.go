@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"io"
 
-	"iatsim/internal/baseline"
 	"iatsim/internal/bridge"
 	"iatsim/internal/cache"
 	"iatsim/internal/core"
 	"iatsim/internal/harness"
 	"iatsim/internal/nic"
 	"iatsim/internal/pkt"
+	"iatsim/internal/policy"
 	"iatsim/internal/sim"
 	"iatsim/internal/telemetry"
 	"iatsim/internal/tgen"
@@ -177,34 +177,33 @@ func runFig10Point(size int, mode string, seed int64, o Fig10Opts, series *[]Fig
 		p.AttachTelemetry(tel)
 	}
 	var daemon *core.Daemon
-	switch mode {
-	case "baseline":
-	case "core-only":
-		cfg := baseline.DefaultConfig(baseline.CoreOnly)
-		cfg.IntervalNS = o.IntervalNS
-		p.AddController(baseline.New(bridge.NewSystem(p), cfg))
-	case "io-iso":
-		cfg := baseline.DefaultConfig(baseline.IOIso)
-		cfg.IntervalNS = o.IntervalNS
-		p.AddController(baseline.New(bridge.NewSystem(p), cfg))
-	case "iat":
+	if mode != "baseline" {
 		params := core.DefaultParams()
 		params.IntervalNS = o.IntervalNS
 		params.ThresholdMissLowPerSec /= o.Scale
 		var err error
 		// Footnote 3: DDIO way adjustment disabled to isolate the
-		// shuffling mechanism.
+		// shuffling mechanism; the comparators never move DDIO either.
 		daemon, err = bridge.NewIAT(p, params, core.Options{DisableDDIOAdjust: true})
+		if err != nil {
+			panic(err)
+		}
+		switch mode {
+		case "core-only":
+			err = daemon.SetPolicy(policy.NewCoreOnly())
+		case "io-iso":
+			err = daemon.SetPolicy(policy.NewIOIso())
+		case "iat":
+		default:
+			panic("unknown mode " + mode)
+		}
 		if err != nil {
 			panic(err)
 		}
 		if tel != nil {
 			daemon.Tel = tel
 		}
-	default:
-		panic("unknown mode " + mode)
 	}
-	_ = daemon
 
 	run := func(durNS float64) {
 		if series == nil {

@@ -14,8 +14,8 @@ type Analyzer struct {
 	// Name is the analyzer's identifier, used in "[name]" finding tags
 	// and in //simlint:ignore directives.
 	Name string
-	// Doc is a one-line description, shown by cmd/simlint and recorded
-	// in results/simlint-baseline.csv.
+	// Doc is a one-line description, shown by cmd/simlint as the SARIF
+	// rule description.
 	Doc string
 	// Run reports findings on one package through the pass.
 	Run func(*Pass)
@@ -31,8 +31,8 @@ func Analyzers() []*Analyzer {
 // load (syntax errors are findings, not crashes).
 const MetaAnalyzer = "simlint"
 
-// Finding is one reported violation (or suppressed violation — baseline
-// accounting keeps both).
+// Finding is one reported violation (or suppressed violation — the JSON
+// and SARIF reports carry both).
 type Finding struct {
 	Pos      token.Position
 	Analyzer string

@@ -3,11 +3,12 @@
 // sanity-screening samples, self-healing, packing and programming masks —
 // and delegates *what to do* to a Policy: each iteration it hands the
 // policy one sanity-screened Sample and executes the Actions the policy
-// returns. The paper's IAT FSM is one Policy (the default); Static,
-// IOCAStyle (after IOCA, arXiv:2007.04552) and Greedy are alternative
-// managers that run on identical deterministic inputs, either as the
-// active policy or as shadows (see Evaluator) computing counterfactual
-// decisions beside the active one.
+// returns. The paper's IAT FSM is one Policy (the default); the paper's
+// Fig. 10 comparators Core-only and I/O-iso (CoreOnly), Static, IOCAStyle
+// (after IOCA, arXiv:2007.04552) and Greedy are alternative managers that
+// run on identical deterministic inputs, either as the active policy or
+// as shadows (see Evaluator) computing counterfactual decisions beside
+// the active one.
 //
 // Policies are pure, deterministic state machines over the samples they
 // Observe: no wall clock, no global randomness, no goroutines — the same
@@ -39,6 +40,11 @@ const (
 	KindIOCA
 	// KindGreedy always grants one way to the largest demander.
 	KindGreedy
+	// KindCoreOnly is the paper's I/O-unaware Core-only comparator.
+	KindCoreOnly
+	// KindIOIso is the paper's I/O-iso comparator: Core-only with the
+	// DDIO ways excluded from every tenant mask.
+	KindIOIso
 )
 
 // String implements fmt.Stringer.
@@ -52,6 +58,10 @@ func (k Kind) String() string {
 		return "ioca"
 	case KindGreedy:
 		return "greedy"
+	case KindCoreOnly:
+		return "coreonly"
+	case KindIOIso:
+		return "ioiso"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -172,6 +182,13 @@ type Actions struct {
 	// daemon executes Fallback instead (the paper's case-3 fall-through).
 	TryShuffle bool
 	Fallback   *Actions
+
+	// Layout, when non-nil, is a complete tenant layout (CLOS -> mask)
+	// that the daemon programs verbatim in place of Grow/Shrink and
+	// DDIOWays, taking each group's width from its programmed mask. Grow
+	// and Shrink then only describe the decision. It lets a policy with
+	// its own packing rules (CoreOnly) bypass the daemon's layout.
+	Layout map[int]cache.WayMask
 }
 
 // Health counts a policy's decision mix, for summaries and tournaments.
@@ -190,20 +207,20 @@ type Health struct {
 // note classifies one decision into the health counters. prevDDIO is the
 // sample's DDIO way count the decision was made against.
 func (h *Health) note(a Actions, prevDDIO int) {
-	switch {
-	case a.Warmup:
+	switch Classify(a, prevDDIO) {
+	case "warmup":
 		h.Warmups++
-	case a.Stable:
+	case "stable":
 		h.Stable++
-	case a.TryShuffle:
+	case "shuffle":
 		h.Shuffles++
-	case a.DDIOWays > prevDDIO:
+	case "grow-ddio":
 		h.GrowDDIO++
-	case a.DDIOWays < prevDDIO:
+	case "shrink-ddio":
 		h.ShrinkDDIO++
-	case len(a.Grow) > 0:
+	case "grow-tenant":
 		h.GrowTenant++
-	case len(a.Shrink) > 0:
+	case "shrink-tenant":
 		h.ShrinkTenant++
 	default:
 		h.Holds++
@@ -212,14 +229,14 @@ func (h *Health) note(a Actions, prevDDIO int) {
 
 // Classify names the decision class of a — the agreement unit of shadow
 // evaluation. prevDDIO is the DDIO way count the decision was made
-// against.
+// against. A layout that widens and narrows nothing is a shuffle.
 func Classify(a Actions, prevDDIO int) string {
 	switch {
 	case a.Warmup:
 		return "warmup"
 	case a.Stable:
 		return "stable"
-	case a.TryShuffle:
+	case a.TryShuffle, a.Layout != nil && len(a.Grow)+len(a.Shrink) == 0:
 		return "shuffle"
 	case a.DDIOWays > prevDDIO:
 		return "grow-ddio"
@@ -288,16 +305,22 @@ func (sp Spec) New() Policy {
 		return NewIOCAStyle()
 	case KindGreedy:
 		return NewGreedy()
+	case KindCoreOnly:
+		return NewCoreOnly()
+	case KindIOIso:
+		return NewIOIso()
 	default:
 		return NewIAT()
 	}
 }
 
 // SpecNames lists the valid -policy flag syntaxes.
-func SpecNames() []string { return []string{"iat", "static[:WAYS]", "ioca", "greedy"} }
+func SpecNames() []string {
+	return []string{"iat", "static[:WAYS]", "ioca", "greedy", "coreonly", "ioiso"}
+}
 
 // ParseSpec parses a -policy flag value: "iat", "static" (2 ways),
-// "static:N", "ioca", or "greedy".
+// "static:N", "ioca", "greedy", "coreonly", or "ioiso".
 func ParseSpec(text string) (Spec, error) {
 	switch {
 	case text == "iat":
@@ -314,6 +337,10 @@ func ParseSpec(text string) (Spec, error) {
 		return Spec{Kind: KindIOCA}, nil
 	case text == "greedy":
 		return Spec{Kind: KindGreedy}, nil
+	case text == "coreonly":
+		return Spec{Kind: KindCoreOnly}, nil
+	case text == "ioiso":
+		return Spec{Kind: KindIOIso}, nil
 	}
 	return Spec{}, fmt.Errorf("policy: unknown policy %q (valid: %s)", text, strings.Join(SpecNames(), ", "))
 }

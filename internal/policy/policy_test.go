@@ -3,6 +3,8 @@ package policy
 import (
 	"strings"
 	"testing"
+
+	"iatsim/internal/cache"
 )
 
 // TestKindString pins the flag-level names and the out-of-range default
@@ -10,6 +12,7 @@ import (
 func TestKindString(t *testing.T) {
 	names := map[Kind]string{
 		KindIAT: "iat", KindStatic: "static", KindIOCA: "ioca", KindGreedy: "greedy",
+		KindCoreOnly: "coreonly", KindIOIso: "ioiso",
 	}
 	for k, want := range names {
 		if k.String() != want {
@@ -35,6 +38,8 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		{"static:4", KindStatic, "static:4"},
 		{"ioca", KindIOCA, "ioca"},
 		{"greedy", KindGreedy, "greedy"},
+		{"coreonly", KindCoreOnly, "coreonly"},
+		{"ioiso", KindIOIso, "ioiso"},
 	}
 	for _, c := range cases {
 		sp, err := ParseSpec(c.text)
@@ -97,7 +102,8 @@ func TestParseShadowSpecs(t *testing.T) {
 
 // TestClassify drives every decision class — Classify is the agreement
 // unit of shadow evaluation, so its precedence order (warmup > stable >
-// shuffle > ddio > tenant > hold) is part of the contract.
+// shuffle > ddio > tenant > hold) is part of the contract. A layout that
+// moves no width is a shuffle; one that does is classed by its Grow/Shrink.
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		a    Actions
@@ -106,6 +112,8 @@ func TestClassify(t *testing.T) {
 		{Actions{Warmup: true}, "warmup"},
 		{Actions{Stable: true, DDIOWays: 2}, "stable"},
 		{Actions{TryShuffle: true, DDIOWays: 2}, "shuffle"},
+		{Actions{DDIOWays: 2, Layout: map[int]cache.WayMask{1: 3}}, "shuffle"},
+		{Actions{DDIOWays: 2, Layout: map[int]cache.WayMask{1: 7}, Grow: []int{1}}, "grow-tenant"},
 		{Actions{DDIOWays: 3}, "grow-ddio"},
 		{Actions{DDIOWays: 1}, "shrink-ddio"},
 		{Actions{DDIOWays: 2, Grow: []int{1}}, "grow-tenant"},

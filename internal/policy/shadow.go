@@ -243,14 +243,25 @@ func (e *Evaluator) rebase(s Sample, sh *shadowState) Sample {
 
 // commit applies decision a to the shadow's counterfactual machine,
 // mirroring the daemon's execution semantics: a shuffle is assumed to
-// succeed (its fallback never runs), grow/shrink are capacity-bounded,
-// and the DDIO target is clamped to the physical way range.
+// succeed (its fallback never runs), a layout sets the widths of its
+// masks and leaves DDIO alone, grow/shrink are capacity-bounded, and the
+// DDIO target is clamped to the physical way range.
 func (e *Evaluator) commit(sh *shadowState, cs Sample, a Actions) {
 	sh.state = a.State
 	if a.Warmup || a.Stable || a.TryShuffle {
 		return
 	}
 	L := cs.Limits
+	if a.Layout != nil {
+		if !L.DisableTenantAdjust {
+			for i := range cs.Groups {
+				if m, ok := a.Layout[cs.Groups[i].CLOS]; ok {
+					sh.width[cs.Groups[i].CLOS] = m.Count()
+				}
+			}
+		}
+		return
+	}
 	if !L.DisableTenantAdjust {
 		for _, clos := range a.Grow {
 			if _, ok := sh.width[clos]; ok && cs.totalWidth()+1 <= cs.NumWays {

@@ -112,6 +112,28 @@ func TestEvaluatorTenantCommit(t *testing.T) {
 	}
 }
 
+// TestEvaluatorLayoutCommit: a comparator shadow's layout sets the
+// counterfactual widths to its mask widths, and the next decision is made
+// against them.
+func TestEvaluatorLayoutCommit(t *testing.T) {
+	e := NewEvaluator(mustSpecs(t, "coreonly"))
+	for i := 1; i <= 3; i++ {
+		s := sample(LowKeep, 2, 0)
+		s.Groups = []GroupView{
+			{CLOS: 1, Width: 2, MissPS: float64(i) * 1e6, MissRate: 0.5},
+			{CLOS: 2, Width: 2, MissPS: 1e3, MissRate: 0.01},
+		}
+		tick(e, s)
+	}
+	if got := e.shadows[0].width; got[1] != 4 || got[2] != 2 {
+		t.Fatalf("counterfactual widths = %v, want clos 1 at 4 and clos 2 at 2", got)
+	}
+	sum := e.Summaries()[0]
+	if sum.WouldGrowTenant != 2 || sum.FinalDDIO != 2 {
+		t.Fatalf("summary = %+v", sum)
+	}
+}
+
 // TestEvaluatorReset: Reset() re-adopts the machine allocation and
 // restarts policy baselines, while summaries and rows persist.
 func TestEvaluatorReset(t *testing.T) {

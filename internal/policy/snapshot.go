@@ -3,14 +3,16 @@ package policy
 import (
 	"encoding/json"
 	"fmt"
+
+	"iatsim/internal/cache"
 )
 
 // Policy snapshot/restore: every policy can serialise its internal state
 // (comparison baselines, hysteresis streaks, health counters) so a
 // checkpointed daemon resumes deciding exactly where it left off. The
-// encodings are JSON over structs of exported scalar fields — field
-// order is the struct order and no maps are involved, so identical
-// state always yields identical bytes (the determinism regime the
+// encodings are JSON over structs of exported fields — field order is
+// the struct order and maps encode with sorted keys, so identical state
+// always yields identical bytes (the determinism regime the
 // checkpoint envelope's byte-compare guarantee rests on).
 
 // iatState is IAT's serialised form.
@@ -106,5 +108,38 @@ func (p *Greedy) Restore(data []byte) error {
 		return fmt.Errorf("policy: restore greedy: %w", err)
 	}
 	p.cur, p.h = st.Cur, st.H
+	return nil
+}
+
+// coreOnlyState is CoreOnly's serialised form: the packing order, the
+// previous miss rates and the last DDIO mask seen. Isolate is
+// configuration, carried so a Core-only snapshot is never restored into
+// an I/O-iso instance (or the reverse). The prev-miss map encodes with
+// sorted keys, so the bytes stay deterministic.
+type coreOnlyState struct {
+	Isolate  bool            `json:"isolate"`
+	Cur      Sample          `json:"cur"`
+	Order    []int           `json:"order"`
+	PrevMiss map[int]float64 `json:"prev_miss"`
+	LastDDIO cache.WayMask   `json:"last_ddio"`
+	H        Health          `json:"health"`
+}
+
+// Snapshot implements Policy.
+func (p *CoreOnly) Snapshot() ([]byte, error) {
+	return json.Marshal(coreOnlyState{Isolate: p.isolate, Cur: p.cur, Order: p.order,
+		PrevMiss: p.prevMiss, LastDDIO: p.lastDDIO, H: p.h})
+}
+
+// Restore implements Policy.
+func (p *CoreOnly) Restore(data []byte) error {
+	var st coreOnlyState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return fmt.Errorf("policy: restore %s: %w", p.Name(), err)
+	}
+	if st.Isolate != p.isolate {
+		return fmt.Errorf("policy: restore %s: snapshot is for another comparator", p.Name())
+	}
+	p.cur, p.order, p.prevMiss, p.lastDDIO, p.h = st.Cur, st.Order, st.PrevMiss, st.LastDDIO, st.H
 	return nil
 }

@@ -9,7 +9,7 @@ import (
 func allSpecs(t *testing.T) []Spec {
 	t.Helper()
 	var specs []Spec
-	for _, text := range []string{"iat", "static:3", "ioca", "greedy"} {
+	for _, text := range []string{"iat", "static:3", "ioca", "greedy", "coreonly", "ioiso"} {
 		sp, err := ParseSpec(text)
 		if err != nil {
 			t.Fatal(err)
@@ -30,6 +30,10 @@ func drive(p Policy, from, to int) []string {
 		}
 		s := sample(LowKeep, 2+i%4, missPS)
 		s.NowNS = float64(i) * 1e8
+		s.Groups = []GroupView{
+			{CLOS: 1, Width: 2, MissPS: float64(1+i%5) * 1e5, MissRate: 0.2},
+			{CLOS: 2, Width: 3, BestEffort: true, MissPS: float64(1+i%3) * 1e5, MissRate: 0.1},
+		}
 		s.DDIOHitPS = 1e7 + float64(i%5)*3e6
 		s.TotalRefsPS = 2e7
 		p.Observe(s)
@@ -98,6 +102,15 @@ func TestPolicyRestoreErrors(t *testing.T) {
 	}
 	if err := NewStatic(4).Restore(snap); err == nil {
 		t.Error("static:4 accepted a static:2 snapshot")
+	}
+	// Core-only and I/O-iso share an implementation; neither accepts the
+	// other's snapshot.
+	snap, err = NewCoreOnly().Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewIOIso().Restore(snap); err == nil {
+		t.Error("ioiso accepted a coreonly snapshot")
 	}
 }
 
