@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,38 +24,88 @@ func smokeArgs(extra ...string) []string {
 	return append(args, extra...)
 }
 
-// TestFleetdDeterministicAcrossJobs runs the same fleet at -jobs 1 and
-// -jobs 4 and requires byte-identical stdout, aggregate CSV and telemetry
-// snapshots — the binary-level form of the fleet determinism contract.
+// TestFleetdDeterministicAcrossJobs runs each fleet at -jobs 1 and
+// -jobs 8 and requires byte-identical stdout, aggregate CSV and
+// telemetry snapshots, and a manifest with zero failed step jobs — the
+// binary-level form of the fleet determinism contract. The cases are
+// the acceptance shapes: a 32-host canary rollout under a fault storm,
+// and a crash storm with per-round host checkpoints.
 func TestFleetdDeterministicAcrossJobs(t *testing.T) {
-	run1 := runFleetd(t, "1")
-	run4 := runFleetd(t, "4")
-	for name, pair := range map[string][2]string{
-		"stdout":     {run1.stdout, run4.stdout},
-		"fleet.csv":  {run1.csv, run4.csv},
-		"controller": {run1.controller, run4.controller},
-		"hosts":      {run1.hosts, run4.hosts},
-	} {
-		if pair[0] != pair[1] {
-			t.Errorf("%s differs between -jobs 1 and -jobs 4:\n--- jobs=1\n%s\n--- jobs=4\n%s", name, pair[0], pair[1])
+	const rounds = 8 // fleetd's default
+	cases := []struct {
+		name     string
+		args     []string
+		hosts    int
+		wantDown bool // the storm must crash at least one host
+	}{
+		{"canary-storm", []string{"-hosts", "32", "-rollout", "canary", "-chaos", "default",
+			"-scale", "3200", "-round", "0.15"}, 32, false},
+		{"crash-storm", []string{"-hosts", "8", "-rollout", "canary", "-chaos", "heavy", "-chaos-seed", "2",
+			"-checkpoint-every", "1", "-scale", "3200", "-round", "0.2", "-interval", "0.05"}, 8, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run1 := runFleetd(t, tc.args, "1")
+			run8 := runFleetd(t, tc.args, "8")
+			for name, pair := range map[string][2]string{
+				"stdout":     {run1.stdout, run8.stdout},
+				"fleet.csv":  {run1.csv, run8.csv},
+				"controller": {run1.controller, run8.controller},
+				"hosts":      {run1.hosts, run8.hosts},
+			} {
+				if pair[0] != pair[1] {
+					t.Errorf("%s differs between -jobs 1 and -jobs 8:\n--- jobs=1\n%s\n--- jobs=8\n%s", name, pair[0], pair[1])
+				}
+			}
+			if !strings.Contains(run1.stdout, "fleetd: done;") {
+				t.Fatalf("run did not complete:\n%s", run1.stdout)
+			}
+			if tc.wantDown && !anyHostDown(t, run1.csv) {
+				t.Error("the crash storm downed no host: nothing was restored from a checkpoint")
+			}
+			for _, m := range []*harness.Manifest{run1.manifest, run8.manifest} {
+				if m.Failures != 0 || m.TotalJobs != tc.hosts*rounds {
+					t.Errorf("manifest at -jobs %d: %d failures of %d jobs, want 0 of %d",
+						m.Options.Jobs, m.Failures, m.TotalJobs, tc.hosts*rounds)
+				}
+			}
+		})
+	}
+}
+
+// anyHostDown reports whether fleet.csv records a crashed host in any
+// round.
+func anyHostDown(t *testing.T, data string) bool {
+	t.Helper()
+	rows, err := csv.NewReader(strings.NewReader(data)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := slices.Index(rows[0], "HostsDown")
+	if col < 0 {
+		t.Fatalf("fleet.csv has no HostsDown column: %v", rows[0])
+	}
+	for _, r := range rows[1:] {
+		if r[col] != "0" {
+			return true
 		}
 	}
-	if !strings.Contains(run1.stdout, "fleetd: done;") {
-		t.Fatalf("run did not complete:\n%s", run1.stdout)
-	}
+	return false
 }
 
 type fleetdRun struct {
 	stdout, csv, controller, hosts string
+	manifest                       *harness.Manifest
 }
 
-func runFleetd(t *testing.T, jobs string) fleetdRun {
+// runFleetd runs fleetd with args at the given -jobs, writing every
+// artifact (CSV, telemetry, manifest) into one temp dir.
+func runFleetd(t *testing.T, args []string, jobs string) fleetdRun {
 	t.Helper()
 	dir := t.TempDir()
 	var out bytes.Buffer
-	err := run(smokeArgs(
-		"-jobs", jobs, "-chaos", "default",
-		"-csv", dir, "-telemetry", dir,
+	err := run(append(append([]string(nil), args...),
+		"-jobs", jobs, "-csv", dir, "-telemetry", dir, "-json", dir,
 	), &out)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
@@ -65,6 +117,10 @@ func runFleetd(t *testing.T, jobs string) fleetdRun {
 		}
 		return string(b)
 	}
+	m, err := harness.ReadManifest(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	return fleetdRun{
 		// The output paths embed the per-test temp dir; normalise them so
 		// the rest of stdout can be compared byte-for-byte.
@@ -72,6 +128,7 @@ func runFleetd(t *testing.T, jobs string) fleetdRun {
 		csv:        read("fleet.csv"),
 		controller: read("controller.json"),
 		hosts:      read("hosts.json"),
+		manifest:   m,
 	}
 }
 

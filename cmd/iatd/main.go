@@ -39,7 +39,6 @@ import (
 	"iatsim/internal/telemetry"
 	"iatsim/internal/tenantfile"
 	"iatsim/internal/tgen"
-	"iatsim/internal/trace"
 	"iatsim/internal/workload"
 )
 
@@ -102,7 +101,7 @@ func main() {
 // run is the testable body of the daemon CLI: it parses args, assembles
 // the platform, runs the IAT loop, and prints every decision to stdout.
 // The output is deterministic for a given tenant file and flag set.
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("iatd", flag.ContinueOnError)
 	tenantsPath := fs.String("tenants", "", "tenant description file (required)")
 	duration := fs.Float64("duration", 20, "simulated seconds to run")
@@ -284,19 +283,28 @@ func run(args []string, stdout io.Writer) error {
 		}
 		daemon.AttachShadows(shadows)
 	}
-	var tracer *trace.Writer
+	// A trace that cannot be written fails the run: the first write
+	// error wins, then the flush and close errors. (terr, not err, so the
+	// deferred close assigns run's result.)
+	var tracer *traceWriter
+	var traceErr error
 	if *tracePath != "" {
-		tf, err := os.Create(*tracePath)
-		if err != nil {
-			return err
+		tf, terr := os.Create(*tracePath)
+		if terr != nil {
+			return terr
 		}
+		tracer = newTraceWriter(tf)
 		defer func() {
-			if err := tracer.Flush(); err != nil {
-				log.Printf("iatd: trace flush: %v", err)
+			if ferr := tracer.Flush(); traceErr == nil {
+				traceErr = ferr
 			}
-			tf.Close()
+			if cerr := tf.Close(); traceErr == nil {
+				traceErr = cerr
+			}
+			if err == nil && traceErr != nil {
+				err = fmt.Errorf("iatd: trace: %w", traceErr)
+			}
 		}()
-		tracer = trace.NewWriter(tf)
 	}
 	// Arm the injector only after the machine is assembled: construction-time
 	// mask programming is not part of the fault surface.
@@ -324,8 +332,8 @@ func run(args []string, stdout io.Writer) error {
 	ckptPath := filepath.Join(*ckptDir, ckptFileName)
 	daemon.OnIteration = func(it core.IterationInfo) {
 		iter++
-		if tracer != nil {
-			_ = tracer.Record(it)
+		if tracer != nil && traceErr == nil {
+			traceErr = tracer.Record(it)
 		}
 		if it.Stable {
 			fmt.Fprintf(out, "[%7.2fs] %-10s stable (ddio=%v hit/s=%.2e miss/s=%.2e)\n",

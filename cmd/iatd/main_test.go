@@ -2,17 +2,34 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"iatsim/internal/cache"
 	"iatsim/internal/ckpt"
+	"iatsim/internal/core"
 	"iatsim/internal/harness"
 	"iatsim/internal/telemetry"
 )
+
+// runMainEnv switches a re-executed test binary into the iatd CLI: with
+// it set, TestMain hands the process's arguments to main, so the test
+// observes the real exit status.
+const runMainEnv = "IATD_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // smokeTenants is a two-tenant scenario: a line-rate forwarder (I/O) and
 // a cache-hungry batch job, with one scripted working-set event.
@@ -474,4 +491,115 @@ func TestResumeAndCheckpointValidation(t *testing.T) {
 		[]string{"-tenants", path, "-checkpoint-every", "3"}, "-checkpoint-every")
 	expectUsage("zero checkpoint-every",
 		[]string{"-tenants", path, "-checkpoint", filepath.Join(dir, "ck"), "-checkpoint-every", "0"}, "-checkpoint-every")
+}
+
+// TestMainExitCodes runs the built CLI (the test binary re-executed as
+// iatd) and checks the exit statuses scripts rely on: a simulated crash
+// exits 137 with its message on stderr, and a usage error exits 2.
+func TestMainExitCodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 2s of platform time")
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tenants.conf")
+	if err := os.WriteFile(path, []byte(smokeTenants), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		args   []string
+		code   int
+		stderr string
+	}{
+		{"crash", []string{"-tenants", path, "-duration", "4", "-interval", "0.2", "-chaos", "default", "-chaos-seed", "7",
+			"-checkpoint", filepath.Join(dir, "ck"), "-checkpoint-every", "3", "-crash-after", "10"},
+			137, "simulated crash after iteration 10"},
+		{"usage", []string{"-tenants", path, "-duration", "0"}, 2, "-duration must be positive"},
+	}
+	for _, tc := range cases {
+		cmd := exec.Command(os.Args[0], tc.args...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != tc.code {
+			t.Errorf("%s: err = %v, want exit status %d\nstderr:\n%s", tc.name, err, tc.code, stderr.String())
+			continue
+		}
+		if !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("%s: stderr lacks %q:\n%s", tc.name, tc.stderr, stderr.String())
+		}
+	}
+}
+
+// TestTraceWriteErrorFailsRun: a -trace file that cannot be written
+// fails the run instead of being logged and dropped.
+func TestTraceWriteErrorFailsRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 1s of platform time")
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	path := filepath.Join(t.TempDir(), "tenants.conf")
+	if err := os.WriteFile(path, []byte(smokeTenants), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run([]string{"-tenants", path, "-duration", "1", "-interval", "0.2", "-trace", "/dev/full"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "trace") {
+		t.Fatalf("err = %v, want a trace write error", err)
+	}
+}
+
+func sampleInfo(t float64, state core.State) core.IterationInfo {
+	return core.IterationInfo{
+		NowNS:    t,
+		State:    state,
+		Stable:   state == core.LowKeep,
+		Action:   "test",
+		DDIOWays: 2,
+		DDIOMask: cache.ContiguousMask(9, 2),
+		Masks: map[int]cache.WayMask{
+			1: cache.ContiguousMask(0, 3),
+			4: cache.ContiguousMask(3, 2),
+		},
+		DDIOHitPS:  1e6,
+		DDIOMissPS: 5e3,
+	}
+}
+
+func TestWriterEmitsHeaderAndRows(t *testing.T) {
+	var sb strings.Builder
+	w := newTraceWriter(&sb)
+	if err := w.Record(sampleInfo(1e9, core.LowKeep)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Record(sampleInfo(2e9, core.IODemand)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	hdr := strings.Join(rows[0], ",")
+	if !strings.Contains(hdr, "clos1_mask") || !strings.Contains(hdr, "clos4_mask") {
+		t.Fatalf("header missing CLOS columns: %s", hdr)
+	}
+	if rows[1][0] != "1.000" || rows[2][1] != "IODemand" {
+		t.Fatalf("data rows wrong: %v / %v", rows[1], rows[2])
+	}
+	// Every row has the header's width.
+	for i, r := range rows {
+		if len(r) != len(rows[0]) {
+			t.Fatalf("row %d width %d != header %d", i, len(r), len(rows[0]))
+		}
+	}
 }

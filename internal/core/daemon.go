@@ -108,8 +108,7 @@ type Daemon struct {
 	// Tel, when set, receives the daemon's event stream: state
 	// transitions (info), mask reprogramming (debug), and one
 	// "iteration" event per completed iteration (debug) whose Data
-	// payload is the IterationInfo — internal/trace renders Fig. 11
-	// from exactly that stream.
+	// payload is the IterationInfo.
 	Tel telemetry.Sink
 
 	telState State   // last state announced by emit (published when Tel is set)

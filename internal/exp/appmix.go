@@ -190,12 +190,8 @@ func buildAppMix(o AppMixOpts) *appMix {
 		params.ThresholdMissLowPerSec /= o.Scale
 		// Sec. VI-C: tenant way adjustment disabled; DDIO sizing and
 		// shuffling active.
-		d, err := bridge.NewIAT(p, params, core.Options{DisableTenantAdjust: true})
-		if err != nil {
+		if _, err := bridge.NewIAT(p, params, core.Options{DisableTenantAdjust: true}); err != nil {
 			panic(err)
-		}
-		if DebugAppMixTrace != nil {
-			d.OnIteration = DebugAppMixTrace
 		}
 	}
 	return m
@@ -427,27 +423,4 @@ func maxUint64(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-// DebugAppMixTrace, when set, receives every IAT iteration of app-mix runs
-// (diagnostics).
-var DebugAppMixTrace func(core.IterationInfo)
-
-// DebugRedisServiceCycles runs a co-run and returns the Redis servers' mean
-// service cycles per operation (diagnostics).
-func DebugRedisServiceCycles(o AppMixOpts) float64 {
-	m := buildAppMix(o)
-	m.p.Run(1e9)
-	var a []workload.OpStats
-	for _, k := range m.kvs {
-		a = append(a, k.Stats())
-	}
-	m.p.Run(1.5e9)
-	var tot workload.OpStats
-	for i, k := range m.kvs {
-		d := k.Stats().Sub(a[i])
-		tot.Ops += d.Ops
-		tot.LatCycles += d.LatCycles
-	}
-	return tot.AvgLatCycles()
 }

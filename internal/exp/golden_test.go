@@ -19,7 +19,7 @@ import (
 // probes, packed victim scans, memoized mask resolution, zero-alloc
 // stepping) must be invisible at every output byte; any optimisation
 // that shifts a single simulated trajectory fails this test before it
-// can reach the determinism smokes.
+// can reach a committed result.
 //
 // Regenerate (only for an intentional, reviewed behaviour change):
 //

@@ -87,7 +87,7 @@ type Snapshot struct {
 // Validate checks snapshot invariants: metrics sorted by key with no
 // duplicates, histogram bucket counts consistent with their totals, and
 // event sequence numbers strictly increasing. It is the schema check
-// behind `iatstat -validate` and `make telemetry-smoke`.
+// behind `iatstat -validate`.
 func (s *Snapshot) Validate() error {
 	if s == nil {
 		return fmt.Errorf("telemetry: nil snapshot")
