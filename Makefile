@@ -7,7 +7,7 @@ GO      ?= go
 JOBS    ?= 4
 TMP     ?= /tmp/iatsim
 
-.PHONY: all build lint simlint vet fmtcheck test race smoke chaos-smoke bench bench-baseline bench-diff determinism scaling clean
+.PHONY: all build lint simlint vet fmtcheck test race fuzz smoke chaos-smoke bench bench-baseline bench-diff determinism scaling clean
 
 all: build lint test race chaos-smoke
 
@@ -37,6 +37,16 @@ test: build
 
 race: build
 	$(GO) test -race ./...
+
+# fuzz runs every native fuzz target for 10s of generated inputs (go
+# test -fuzz takes one target per invocation, so each has its own line;
+# add new targets here). Their seed corpora already run in `make test`.
+fuzz: build
+	$(GO) test -run '^$$' -fuzz '^FuzzCkptRoundTrip$$' -fuzztime 10s ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzProfileByName$$' -fuzztime 10s ./internal/faults
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/policy
+	$(GO) test -run '^$$' -fuzz '^FuzzParseShadowSpecs$$' -fuzztime 10s ./internal/policy
+	$(GO) test -run '^$$' -fuzz '^FuzzParseWithEvents$$' -fuzztime 10s ./internal/tenantfile
 
 # smoke: one figure through the full parallel path — CSV + manifest out,
 # and the manifest must report zero failed jobs.

@@ -327,8 +327,8 @@ func BenchmarkNICPollRx(b *testing.B) {
 	}
 }
 
-// BenchmarkPolicyDecide measures one Observe+Decide cycle of each
-// shipped allocation policy over an 8-tenant sample, alternating quiet
+// BenchmarkPolicyDecide measures one Decide call of each shipped
+// allocation policy over an 8-tenant sample, alternating quiet
 // and loud I/O so the change-detection path runs every other tick — the
 // pure decision cost the daemon pays per polling interval.
 func BenchmarkPolicyDecide(b *testing.B) {
@@ -372,8 +372,7 @@ func BenchmarkPolicyDecide(b *testing.B) {
 					s = loud
 				}
 				s.NowNS = float64(i) * 1e8
-				pol.Observe(s)
-				_ = pol.Decide()
+				_ = pol.Decide(s)
 			}
 		})
 	}

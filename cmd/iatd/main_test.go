@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"errors"
 	"flag"
@@ -15,6 +16,7 @@ import (
 	"iatsim/internal/ckpt"
 	"iatsim/internal/core"
 	"iatsim/internal/harness"
+	"iatsim/internal/policy"
 	"iatsim/internal/telemetry"
 )
 
@@ -495,7 +497,9 @@ func TestResumeAndCheckpointValidation(t *testing.T) {
 
 // TestMainExitCodes runs the built CLI (the test binary re-executed as
 // iatd) and checks the exit statuses scripts rely on: a simulated crash
-// exits 137 with its message on stderr, and a usage error exits 2.
+// exits 137 with its message on stderr, and a usage error — a bad flag,
+// or a -resume checkpoint in the old version 1 format — exits 2 before
+// simulating anything (nothing on stdout).
 func TestMainExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 2s of platform time")
@@ -503,6 +507,15 @@ func TestMainExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tenants.conf")
 	if err := os.WriteFile(path, []byte(smokeTenants), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data, err := ckpt.Marshal(&ckpt.Checkpoint{Iteration: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[4:8], 1) // the version field follows the 4-byte magic
+	v1 := filepath.Join(dir, "v1.ckpt")
+	if err := os.WriteFile(v1, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -515,12 +528,14 @@ func TestMainExitCodes(t *testing.T) {
 			"-checkpoint", filepath.Join(dir, "ck"), "-checkpoint-every", "3", "-crash-after", "10"},
 			137, "simulated crash after iteration 10"},
 		{"usage", []string{"-tenants", path, "-duration", "0"}, 2, "-duration must be positive"},
+		{"v1 checkpoint", []string{"-tenants", path, "-duration", "4", "-interval", "0.2", "-resume", v1},
+			2, "unknown checkpoint version 1"},
 	}
 	for _, tc := range cases {
 		cmd := exec.Command(os.Args[0], tc.args...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != tc.code {
@@ -529,6 +544,9 @@ func TestMainExitCodes(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), tc.stderr) {
 			t.Errorf("%s: stderr lacks %q:\n%s", tc.name, tc.stderr, stderr.String())
+		}
+		if tc.code == 2 && stdout.Len() > 0 {
+			t.Errorf("%s: usage error printed run output:\n%s", tc.name, stdout.String())
 		}
 	}
 }
@@ -553,11 +571,11 @@ func TestTraceWriteErrorFailsRun(t *testing.T) {
 	}
 }
 
-func sampleInfo(t float64, state core.State) core.IterationInfo {
+func sampleInfo(t float64, state policy.State) core.IterationInfo {
 	return core.IterationInfo{
 		NowNS:    t,
 		State:    state,
-		Stable:   state == core.LowKeep,
+		Stable:   state == policy.LowKeep,
 		Action:   "test",
 		DDIOWays: 2,
 		DDIOMask: cache.ContiguousMask(9, 2),
@@ -573,10 +591,10 @@ func sampleInfo(t float64, state core.State) core.IterationInfo {
 func TestWriterEmitsHeaderAndRows(t *testing.T) {
 	var sb strings.Builder
 	w := newTraceWriter(&sb)
-	if err := w.Record(sampleInfo(1e9, core.LowKeep)); err != nil {
+	if err := w.Record(sampleInfo(1e9, policy.LowKeep)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Record(sampleInfo(2e9, core.IODemand)); err != nil {
+	if err := w.Record(sampleInfo(2e9, policy.IODemand)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

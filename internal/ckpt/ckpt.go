@@ -12,7 +12,7 @@
 //
 //	offset size  field
 //	0      4     magic "IATC"
-//	4      4     format version (currently 1)
+//	4      4     format version (currently 2)
 //	8      4     payload length in bytes
 //	12     4     IEEE CRC32 of the payload
 //	16     n     payload (JSON-encoded Checkpoint)
@@ -36,10 +36,14 @@ import (
 	"iatsim/internal/faults"
 )
 
-// Version is the current envelope format version. Decoders accept
-// exactly the versions they know how to migrate; anything newer is an
-// UnknownVersionError.
-const Version uint32 = 1
+// Version is the current format version. A decoder accepts exactly this
+// version; any other is an UnknownVersionError, raised before the
+// payload is read. Version 2 nests the policy and shadow states as JSON
+// values and drops the fields version 1 carried but never read (each
+// policy's cached sample and decision tally, and each group's names and
+// miss rates), so a version 1 checkpoint would restore into the wrong
+// shape.
+const Version uint32 = 2
 
 // magic identifies a checkpoint file.
 var magic = [4]byte{'I', 'A', 'T', 'C'}
@@ -64,14 +68,14 @@ var (
 	ErrChecksum = errors.New("ckpt: payload checksum mismatch")
 )
 
-// UnknownVersionError is returned when the envelope version is not one
-// this build can decode (a checkpoint from a future build).
+// UnknownVersionError is returned when the envelope version is not the
+// one this build decodes (a checkpoint from an older or a newer build).
 type UnknownVersionError struct {
 	Version uint32
 }
 
 func (e UnknownVersionError) Error() string {
-	return fmt.Sprintf("ckpt: unknown checkpoint version %d (this build reads <= %d)", e.Version, Version)
+	return fmt.Sprintf("ckpt: unknown checkpoint version %d (this build reads only version %d)", e.Version, Version)
 }
 
 // Checkpoint is one captured control-plane state: the daemon (policy and

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"iatsim/internal/core"
@@ -34,8 +35,8 @@ func sampleCheckpoint() *Checkpoint {
 			DDIOWays: 4,
 			TopCLOS:  1,
 			Groups: []core.GroupState{
-				{CLOS: 1, Names: []string{"fwd0"}, IO: true, Width: 3, Cores: []int{0, 1}},
-				{CLOS: 2, Names: []string{"batch"}, Width: 2, Cores: []int{2}},
+				{CLOS: 1, IO: true, Width: 3, Cores: []int{0, 1}},
+				{CLOS: 2, Width: 2, Cores: []int{2}},
 			},
 			PolicyName:  "iat",
 			PolicyState: []byte(`{"have":true}`),
@@ -121,6 +122,19 @@ func TestCorruption(t *testing.T) {
 	var uv UnknownVersionError
 	if !errors.As(err, &uv) || uv.Version != Version+3 {
 		t.Errorf("future version: got %v, want UnknownVersionError{%d}", err, Version+3)
+	}
+
+	// A version 1 checkpoint (nested states as base64 strings, policy
+	// state with a cached sample) is refused at the envelope, before its
+	// payload is decoded.
+	bad = bytes.Clone(data)
+	binary.LittleEndian.PutUint32(bad[4:8], 1)
+	_, err = Unmarshal(bad)
+	if !errors.As(err, &uv) || uv.Version != 1 {
+		t.Errorf("version 1: got %v, want UnknownVersionError{1}", err)
+	}
+	if want := "this build reads only version 2"; !strings.Contains(err.Error(), want) {
+		t.Errorf("version 1 error %q does not say %q", err, want)
 	}
 
 	// Valid envelope around a payload that is not a checkpoint.

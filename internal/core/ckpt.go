@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
+	"iatsim/internal/policy"
 	"iatsim/internal/rdt"
 )
 
@@ -24,22 +26,20 @@ var ErrStateMismatch = errors.New("core: checkpoint does not match daemon config
 // GroupState is one allocation group's serialised form.
 type GroupState struct {
 	CLOS       int      `json:"clos"`
-	Names      []string `json:"names"`
 	Priority   Priority `json:"priority"`
 	IO         bool     `json:"io"`
 	Width      int      `json:"width"`
 	RefsPerSec float64  `json:"refs_per_sec"`
-	MissPerSec float64  `json:"miss_per_sec"`
-	MissRate   float64  `json:"miss_rate"`
 	Cores      []int    `json:"cores"`
 }
 
 // DaemonState is the daemon's serialised control-plane state. All fields
 // are exported scalars, slices in registration order, or maps that are
 // only marshalled through encoding/json (which sorts keys), so identical
-// daemon state always serialises to identical bytes.
+// daemon state always serialises to identical bytes. The policy and
+// shadow states nest as JSON values; a missing or null one is absent.
 type DaemonState struct {
-	State    State        `json:"state"`
+	State    policy.State `json:"state"`
 	NeedInfo bool         `json:"need_info"`
 	Groups   []GroupState `json:"groups"`
 	NWays    int          `json:"n_ways"`
@@ -52,21 +52,21 @@ type DaemonState struct {
 	PrevDDIO    rdt.DDIOCounters         `json:"prev_ddio"`
 	HavePrevCum bool                     `json:"have_prev_cum"`
 
-	PolicyName  string `json:"policy_name"`
-	PolicyState []byte `json:"policy_state"`
-	ShadowState []byte `json:"shadow_state,omitempty"`
+	PolicyName  string          `json:"policy_name"`
+	PolicyState json.RawMessage `json:"policy_state"`
+	ShadowState json.RawMessage `json:"shadow_state,omitempty"`
 
 	Iters    uint64      `json:"iters"`
 	Unstable uint64      `json:"unstable"`
 	Health   HealthStats `json:"health"`
 
-	ConsecBad       int   `json:"consec_bad"`
-	SaneStreak      int   `json:"sane_streak"`
-	Degraded        bool  `json:"degraded"`
-	RearmNeed       int   `json:"rearm_need"`
-	CleanStreak     int   `json:"clean_streak"`
-	WriteFailedIter bool  `json:"write_failed_iter"`
-	TelState        State `json:"tel_state"`
+	ConsecBad       int          `json:"consec_bad"`
+	SaneStreak      int          `json:"sane_streak"`
+	Degraded        bool         `json:"degraded"`
+	RearmNeed       int          `json:"rearm_need"`
+	CleanStreak     int          `json:"clean_streak"`
+	WriteFailedIter bool         `json:"write_failed_iter"`
+	TelState        policy.State `json:"tel_state"`
 }
 
 // SnapshotState captures the daemon's control-plane state between
@@ -105,10 +105,8 @@ func (d *Daemon) SnapshotState() (DaemonState, error) {
 	}
 	for _, g := range d.groups {
 		st.Groups = append(st.Groups, GroupState{
-			CLOS: g.CLOS, Names: append([]string(nil), g.Names...),
-			Priority: g.Priority, IO: g.IO, Width: g.Width,
-			RefsPerSec: g.RefsPerSec, MissPerSec: g.MissPerSec, MissRate: g.MissRate,
-			Cores: append([]int(nil), d.cores[g.CLOS]...),
+			CLOS: g.CLOS, Priority: g.Priority, IO: g.IO, Width: g.Width,
+			RefsPerSec: g.RefsPerSec, Cores: append([]int(nil), d.cores[g.CLOS]...),
 		})
 	}
 	if d.havePrevCum {
@@ -139,15 +137,17 @@ func (d *Daemon) RestoreState(st DaemonState) error {
 	if st.PolicyName != d.pol.Name() {
 		return fmt.Errorf("%w: checkpoint policy %q, daemon runs %q", ErrStateMismatch, st.PolicyName, d.pol.Name())
 	}
+	if policy.Absent(st.PolicyState) {
+		return fmt.Errorf("%w: checkpoint has no policy state", ErrStateMismatch)
+	}
 	if err := d.pol.Restore(st.PolicyState); err != nil {
 		return err
 	}
-	if len(st.ShadowState) > 0 || (d.shadows != nil && !d.shadows.Empty()) {
-		shadowBytes := st.ShadowState
-		if len(shadowBytes) == 0 {
+	if !policy.Absent(st.ShadowState) || !d.shadows.Empty() {
+		if policy.Absent(st.ShadowState) {
 			return fmt.Errorf("%w: checkpoint has no shadow state, daemon has shadows attached", ErrStateMismatch)
 		}
-		if err := d.shadows.Restore(shadowBytes); err != nil {
+		if err := d.shadows.Restore(st.ShadowState); err != nil {
 			return err
 		}
 	}
@@ -171,11 +171,7 @@ func (d *Daemon) RestoreState(st DaemonState) error {
 	d.byCLOS = make(map[int]*Group, len(st.Groups))
 	d.cores = make(map[int][]int, len(st.Groups))
 	for _, gs := range st.Groups {
-		g := &Group{
-			CLOS: gs.CLOS, Names: append([]string(nil), gs.Names...),
-			Priority: gs.Priority, IO: gs.IO, Width: gs.Width,
-			RefsPerSec: gs.RefsPerSec, MissPerSec: gs.MissPerSec, MissRate: gs.MissRate,
-		}
+		g := &Group{CLOS: gs.CLOS, Priority: gs.Priority, IO: gs.IO, Width: gs.Width, RefsPerSec: gs.RefsPerSec}
 		d.groups = append(d.groups, g)
 		d.byCLOS[g.CLOS] = g
 		d.cores[g.CLOS] = append([]int(nil), gs.Cores...)
@@ -207,7 +203,7 @@ func (d *Daemon) RestoreState(st DaemonState) error {
 // decision baselines are dropped); an attached shadow evaluator cold
 // starts too.
 func (d *Daemon) Restart() {
-	d.state = LowKeep
+	d.state = policy.LowKeep
 	d.needInfo = true
 	d.groups = d.groups[:0]
 	d.byCLOS = nil
@@ -233,5 +229,5 @@ func (d *Daemon) Restart() {
 	d.rearmNeed = 0
 	d.cleanStreak = 0
 	d.writeFailedIter = false
-	d.telState = LowKeep
+	d.telState = policy.LowKeep
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"iatsim/internal/policy"
@@ -215,6 +216,59 @@ func TestDaemonRestoreMismatch(t *testing.T) {
 	}
 }
 
+// TestDaemonRestoreNullNestedState: a JSON null policy or shadow state
+// decodes as absent. An absent policy state is a mismatch; an absent
+// shadow state restores into a daemon without shadows and is a mismatch
+// for one with shadows attached.
+func TestDaemonRestoreNullNestedState(t *testing.T) {
+	m := newMockSys(ckptTenants())
+	d := testDaemon(t, m, Options{})
+	for i := 0; i < 6; i++ {
+		ckptLoad(m, i)
+		d.Tick(float64(i+1) * 100e6)
+	}
+	snap, err := d.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(from, to string) DaemonState {
+		t.Helper()
+		edited := strings.Replace(string(data), from, to, 1)
+		if edited == string(data) {
+			t.Fatalf("%q not found in %s", from, data)
+		}
+		var st DaemonState
+		if err := json.Unmarshal([]byte(edited), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	fresh := func() *Daemon { return testDaemon(t, newMockSys(ckptTenants()), Options{}) }
+
+	noPolicy := decode(`"policy_state":`+string(snap.PolicyState), `"policy_state":null`)
+	if err := fresh().RestoreState(noPolicy); !errors.Is(err, ErrStateMismatch) {
+		t.Errorf("null policy state: got %v, want ErrStateMismatch", err)
+	}
+
+	noShadows := decode(`"policy_state":`, `"shadow_state":null,"policy_state":`)
+	if err := fresh().RestoreState(noShadows); err != nil {
+		t.Errorf("null shadow state into a shadowless daemon: %v", err)
+	}
+	specs, err := policy.ParseShadowSpecs("greedy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	withShadows := fresh()
+	withShadows.AttachShadows(policy.NewEvaluator(specs))
+	if err := withShadows.RestoreState(noShadows); !errors.Is(err, ErrStateMismatch) {
+		t.Errorf("null shadow state with shadows attached: got %v, want ErrStateMismatch", err)
+	}
+}
+
 // TestDaemonRestartColdStarts: Restart drops all accumulated state and
 // the daemon re-runs tenant discovery, exactly like a relaunched
 // process that found no usable checkpoint.
@@ -233,7 +287,7 @@ func TestDaemonRestartColdStarts(t *testing.T) {
 	if iters, unstable := d.Iterations(); iters != 0 || unstable != 0 {
 		t.Fatalf("restart kept iteration counters: %d/%d", iters, unstable)
 	}
-	if d.State() != LowKeep {
+	if d.State() != policy.LowKeep {
 		t.Fatalf("state after restart = %v, want LowKeep", d.State())
 	}
 	if h := d.Health(); h != (HealthStats{}) {

@@ -31,7 +31,7 @@ type intervalSample struct {
 // series) and the iatd log output.
 type IterationInfo struct {
 	NowNS      float64
-	State      State
+	State      policy.State
 	Stable     bool
 	Action     string
 	DDIOWays   int
@@ -65,7 +65,7 @@ type Daemon struct {
 	P    Params
 	Opts Options
 
-	state    State
+	state    policy.State
 	needInfo bool
 
 	groups   []*Group // registration order
@@ -111,8 +111,8 @@ type Daemon struct {
 	// payload is the IterationInfo.
 	Tel telemetry.Sink
 
-	telState State   // last state announced by emit (published when Tel is set)
-	nowNS    float64 // current iteration's sim time, for apply()-time events
+	telState policy.State // last state announced by emit (published when Tel is set)
+	nowNS    float64      // current iteration's sim time, for apply()-time events
 }
 
 // NewDaemon builds a daemon over sys running the default IAT policy. It
@@ -126,7 +126,7 @@ func NewDaemon(sys System, p Params, opts Options) (*Daemon, error) {
 		sys:        sys,
 		P:          p,
 		Opts:       opts,
-		state:      LowKeep,
+		state:      policy.LowKeep,
 		needInfo:   true,
 		nWays:      sys.NumWays(),
 		topCLOS:    -1,
@@ -177,7 +177,7 @@ func (d *Daemon) SetPolicy(p policy.Policy) error {
 	}
 	p.Reset()
 	d.pol = p
-	d.state = LowKeep
+	d.state = policy.LowKeep
 	d.emitHealth(telemetry.SevInfo, "policy_update", p.Name())
 	return nil
 }
@@ -194,7 +194,7 @@ func (d *Daemon) AttachShadows(ev *policy.Evaluator) { d.shadows = ev }
 func (d *Daemon) Shadows() *policy.Evaluator { return d.shadows }
 
 // State returns the FSM state.
-func (d *Daemon) State() State { return d.state }
+func (d *Daemon) State() policy.State { return d.state }
 
 // DDIOWays returns the daemon's view of the DDIO way count.
 func (d *Daemon) DDIOWays() int { return d.ddioWays }
@@ -234,7 +234,6 @@ func (d *Daemon) getTenantInfo() {
 			d.byCLOS[t.CLOS] = g
 			d.groups = append(d.groups, g)
 		}
-		g.Names = append(g.Names, t.Name)
 		if t.IO {
 			g.IO = true
 		}
@@ -313,8 +312,6 @@ func (d *Daemon) poll(nowNS float64) (intervalSample, bool) {
 		s.totalRefsPS += gr.RefsPS
 		if g := d.byCLOS[clos]; g != nil {
 			g.RefsPerSec = gr.RefsPS
-			g.MissPerSec = gr.MissPS
-			g.MissRate = gr.MissRate
 		}
 	}
 	dd := ddio.Sub(d.prevDDIO)
@@ -398,8 +395,7 @@ func (d *Daemon) iterate(nowNS float64) {
 		return
 	}
 	s := d.sampleFor(nowNS, cur)
-	d.pol.Observe(s)
-	a := d.pol.Decide()
+	a := d.pol.Decide(s)
 	if a.Warmup {
 		// Baseline adoption: silent, uncounted, no re-allocation.
 		d.state = a.State

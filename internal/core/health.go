@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"iatsim/internal/cache"
+	"iatsim/internal/policy"
 	"iatsim/internal/telemetry"
 )
 
@@ -126,7 +127,7 @@ func (d *Daemon) enterDegraded() {
 	if !d.Opts.DisableDDIOAdjust {
 		d.programDDIO(cache.ContiguousMask(d.nWays-d.ddioWays, d.ddioWays))
 	}
-	d.state = LowKeep
+	d.state = policy.LowKeep
 	// Old baselines are untrustworthy; the policy and every shadow
 	// re-baseline after re-arming.
 	d.pol.Reset()
@@ -150,16 +151,14 @@ func (d *Daemon) degradedTick(nowNS float64, cur intervalSample) {
 	d.health.Rearms++
 	d.bumpHealth("rearms")
 	d.emitHealth(telemetry.SevInfo, "rearmed", fmt.Sprintf("after %d sane samples", d.rearmNeed))
-	d.state = LowKeep
+	d.state = policy.LowKeep
 	// Re-adopt the re-arming sample as the comparison baseline: the
-	// policy observes it and its (warmup) decision is discarded, so the
+	// policy decides on it and its (warmup) decision is discarded, so the
 	// next iteration compares against this sample — exactly the
 	// pre-extraction "prevRates = cur" re-arm semantics. The shadows see
 	// the same warmup tick and re-adopt the machine layout with it.
 	s := d.sampleFor(nowNS, cur)
-	d.pol.Observe(s)
-	aw := d.pol.Decide()
-	d.shadowTick(s, aw)
+	d.shadowTick(s, d.pol.Decide(s))
 	d.emit(nowNS, cur, false, "re-armed")
 }
 

@@ -15,17 +15,11 @@ import (
 // chosen to share ways with DDIO).
 type Group struct {
 	CLOS     int
-	Names    []string
 	Priority Priority
 	IO       bool
 	Width    int
 	// RefsPerSec is updated every poll.
 	RefsPerSec float64
-	// MissRatePerSec is the group's LLC miss rate (misses/s), used by
-	// the Reclaim state's tenant selection.
-	MissPerSec float64
-	// MissRate is misses/references of the last interval.
-	MissRate float64
 }
 
 // PackBottomUp assigns each group a contiguous mask, packing from way 0

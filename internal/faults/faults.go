@@ -154,7 +154,7 @@ func ProfileByName(spec string) (Profile, error) {
 			return Profile{}, err
 		}
 		rate, err := strconv.ParseFloat(strings.TrimSpace(kv[1]), 64)
-		if err != nil || rate < 0 || rate > 1 {
+		if err != nil || !(rate >= 0 && rate <= 1) { // the negated form also rejects NaN
 			return Profile{}, fmt.Errorf("faults: rate %q for %s out of [0,1]", kv[1], k)
 		}
 		p.Rates[k] = rate

@@ -49,7 +49,11 @@ func TestProfileCustomSpec(t *testing.T) {
 	if p.Rates[NICDrop] != 0 {
 		t.Error("unlisted kind not zero")
 	}
-	for _, bad := range []string{"msr-reject=2", "nope=0.1", "msr-reject"} {
+	// NaN fails every comparison, so it needs its own cases: alone it
+	// once parsed as inactive, and beside another kind it fired on every
+	// opportunity.
+	for _, bad := range []string{"msr-reject=2", "nope=0.1", "msr-reject", "nic-drop=-0.1", "nic-drop=+Inf",
+		"msr-reject=NaN", "msr-reject=NaN,nic-drop=0.1"} {
 		if _, err := ProfileByName(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
@@ -338,4 +342,34 @@ func TestZeroRateConsumesNoState(t *testing.T) {
 			t.Fatalf("zero-rate roll perturbed the stream at %d", i)
 		}
 	}
+}
+
+// FuzzProfileByName: arbitrary specs never panic, every accepted rate is
+// in [0,1], and Active agrees with any rate being positive.
+func FuzzProfileByName(f *testing.F) {
+	for _, name := range ProfileNames() {
+		f.Add(name)
+	}
+	f.Add("msr-reject=0.5, poll-skip=1")
+	f.Add("msr-reject=NaN")
+	f.Add("msr-reject=NaN,nic-drop=0.1")
+	f.Add("nic-drop=+Inf")
+	f.Add("nic-drop=-0,,")
+	f.Add("bogus")
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ProfileByName(spec)
+		if err != nil {
+			return
+		}
+		anyPositive := false
+		for k, r := range p.Rates {
+			if !(r >= 0 && r <= 1) {
+				t.Fatalf("%q: rate %v for %s outside [0,1]", spec, r, Kind(k))
+			}
+			anyPositive = anyPositive || r > 0
+		}
+		if p.Active() != anyPositive {
+			t.Fatalf("%q: Active() = %v with rates %v", spec, p.Active(), p.Rates)
+		}
+	})
 }

@@ -31,11 +31,9 @@ const growThreshold = 0.10
 // registration order with the most recent grower moved to the top.
 type CoreOnly struct {
 	isolate  bool
-	cur      Sample
 	order    []int           // CLOS ids, bottom-up packing order
 	prevMiss map[int]float64 // last interval's MissPS by CLOS; nil until the first sample
 	lastDDIO cache.WayMask   // DDIO mask the current layout was packed against (I/O-iso)
-	h        Health
 }
 
 // NewCoreOnly returns the Core-only comparator.
@@ -45,30 +43,19 @@ func NewCoreOnly() *CoreOnly { return &CoreOnly{} }
 func NewIOIso() *CoreOnly { return &CoreOnly{isolate: true} }
 
 // Name implements Policy.
-func (p *CoreOnly) Name() string { return p.Kind().String() }
-
-// Kind implements Policy.
-func (p *CoreOnly) Kind() Kind {
+func (p *CoreOnly) Name() string {
 	if p.isolate {
-		return KindIOIso
+		return KindIOIso.String()
 	}
-	return KindCoreOnly
+	return KindCoreOnly.String()
 }
-
-// Health implements Policy.
-func (p *CoreOnly) Health() Health { return p.h }
 
 // Reset implements Policy: the miss-growth baseline is dropped. The
 // packing order and the last DDIO mask survive, as the layout history.
 func (p *CoreOnly) Reset() { p.prevMiss = nil }
 
-// Observe implements Policy.
-func (p *CoreOnly) Observe(s Sample) { p.cur = s }
-
 // Decide implements Policy.
-func (p *CoreOnly) Decide() Actions {
-	s := p.cur
-	p.h.Ticks++
+func (p *CoreOnly) Decide(s Sample) Actions {
 	p.syncOrder(s)
 	repack := p.isolate && s.DDIOMask != p.lastDDIO
 	p.lastDDIO = s.DDIOMask
@@ -83,7 +70,6 @@ func (p *CoreOnly) Decide() Actions {
 		// The first sample only becomes the miss-growth baseline.
 		a = Actions{Warmup: true, State: s.State, DDIOWays: s.DDIOWays}
 	}
-	p.h.note(a, s.DDIOWays)
 	return a
 }
 

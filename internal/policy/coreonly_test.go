@@ -26,10 +26,11 @@ func newMachine() *machine {
 	}
 }
 
-// run hands p one sample per step and applies each decision. Every group
-// misses 10 times per second unless missFor[clos] says otherwise, with
-// 2*misses+100 references.
-func (m *machine) run(p Policy, steps int, missFor map[int]func(step int) float64) {
+// run hands p one sample per step, applies each decision, and returns
+// each decision's Classify class. Every group misses 10 times per second
+// unless missFor[clos] says otherwise, with 2*misses+100 references.
+func (m *machine) run(p Policy, steps int, missFor map[int]func(step int) float64) []string {
+	var classes []string
 	for step := 0; step < steps; step++ {
 		s := Sample{NumWays: 11, DDIOWays: m.ddio.Count(), DDIOMask: m.ddio, Limits: limits()}
 		for clos := 1; clos <= 3; clos++ {
@@ -44,11 +45,13 @@ func (m *machine) run(p Policy, steps int, missFor map[int]func(step int) float6
 				RefsPS: refs, MissPS: miss, MissRate: miss / refs,
 			})
 		}
-		p.Observe(s)
-		for clos, mask := range p.Decide().Layout {
+		a := p.Decide(s)
+		for clos, mask := range a.Layout {
 			m.masks[clos] = mask
 		}
+		classes = append(classes, Classify(a, s.DDIOWays))
 	}
+	return classes
 }
 
 // rising is a miss stream that grows by per every step.
@@ -121,9 +124,8 @@ func TestIOIsoTracksExternalDDIOChange(t *testing.T) {
 	m.masks[3] = cache.ContiguousMask(6, 3)
 	p := NewIOIso()
 	m.run(p, 3, nil) // settle
-	settled := p.Health().Shuffles
 	m.ddio = cache.ContiguousMask(7, 4)
-	m.run(p, 1, nil)
+	classes := m.run(p, 1, nil)
 	want := map[int]cache.WayMask{
 		1: cache.ContiguousMask(0, 3),
 		2: cache.ContiguousMask(3, 3),
@@ -137,8 +139,8 @@ func TestIOIsoTracksExternalDDIOChange(t *testing.T) {
 			t.Errorf("clos %d mask %v overlaps the grown DDIO %v", clos, mask, m.ddio)
 		}
 	}
-	if h := p.Health(); h.Shuffles != settled+1 {
-		t.Errorf("health = %+v, want one re-pack after the DDIO change", h)
+	if classes[0] != "shuffle" {
+		t.Errorf("decision after the DDIO change is %q, want one re-pack (shuffle)", classes[0])
 	}
 }
 
@@ -149,14 +151,16 @@ func TestQuietSystemUnchanged(t *testing.T) {
 		for clos, mask := range m.masks {
 			before[clos] = mask
 		}
-		m.run(p, 6, nil)
+		classes := m.run(p, 6, nil)
 		for clos, mask := range m.masks {
 			if before[clos] != mask {
 				t.Fatalf("%s: quiet system reprogrammed clos %d: %v -> %v", p.Name(), clos, before[clos], mask)
 			}
 		}
-		if h := p.Health(); h.GrowTenant+h.ShrinkTenant != 0 {
-			t.Fatalf("%s: quiet system moved widths: %+v", p.Name(), h)
+		for _, c := range classes {
+			if c == "grow-tenant" || c == "shrink-tenant" {
+				t.Fatalf("%s: quiet system moved widths: %v", p.Name(), classes)
+			}
 		}
 	}
 }
@@ -170,8 +174,7 @@ func TestCoreOnlyRespectsDisableTenantAdjust(t *testing.T) {
 			{CLOS: 1, Width: 2, MissPS: 1e6 * float64(step+1), MissRate: 0.5},
 		}}
 		s.Limits.DisableTenantAdjust = true
-		p.Observe(s)
-		if a := p.Decide(); a.Layout != nil {
+		if a := p.Decide(s); a.Layout != nil {
 			t.Fatalf("step %d: layout %v under DisableTenantAdjust", step, a.Layout)
 		}
 	}

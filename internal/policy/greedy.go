@@ -8,10 +8,7 @@ import "fmt"
 // stability analysis, no hysteresis, and no reclaim. It demonstrates what
 // the IAT FSM's damping actually buys: under shifting load Greedy ratchets
 // allocations up until everything saturates and then can only hold.
-type Greedy struct {
-	cur Sample
-	h   Health
-}
+type Greedy struct{}
 
 // NewGreedy returns the grant-the-largest-demander policy.
 func NewGreedy() *Greedy { return &Greedy{} }
@@ -19,23 +16,12 @@ func NewGreedy() *Greedy { return &Greedy{} }
 // Name implements Policy.
 func (p *Greedy) Name() string { return "greedy" }
 
-// Kind implements Policy.
-func (p *Greedy) Kind() Kind { return KindGreedy }
-
-// Health implements Policy.
-func (p *Greedy) Health() Health { return p.h }
-
 // Reset implements Policy (memoryless).
 func (p *Greedy) Reset() {}
 
-// Observe implements Policy.
-func (p *Greedy) Observe(s Sample) { p.cur = s }
-
 // Decide implements Policy.
-func (p *Greedy) Decide() Actions {
-	s := p.cur
+func (p *Greedy) Decide(s Sample) Actions {
 	L := s.Limits
-	p.h.Ticks++
 
 	// The demand floor reuses detect()'s reference-rate noise floor so an
 	// idle system reads as having no demander at all.
@@ -63,7 +49,6 @@ func (p *Greedy) Decide() Actions {
 		}
 	}
 
-	var a Actions
 	switch kind {
 	case demandDDIO:
 		if !L.DisableDDIOAdjust && s.DDIOWays < L.DDIOWaysMax {
@@ -72,20 +57,15 @@ func (p *Greedy) Decide() Actions {
 			if target >= L.DDIOWaysMax {
 				st = HighKeep
 			}
-			a = Actions{State: st, DDIOWays: target, Desc: fmt.Sprintf("greedy: ddio=%d", target)}
-		} else {
-			a = Actions{State: HighKeep, DDIOWays: s.DDIOWays, Desc: "greedy: ddio saturated"}
+			return Actions{State: st, DDIOWays: target, Desc: fmt.Sprintf("greedy: ddio=%d", target)}
 		}
+		return Actions{State: HighKeep, DDIOWays: s.DDIOWays, Desc: "greedy: ddio saturated"}
 	case demandGroup:
 		if !L.DisableTenantAdjust && s.totalWidth()+1 <= s.NumWays {
-			a = Actions{State: CoreDemand, DDIOWays: s.DDIOWays,
+			return Actions{State: CoreDemand, DDIOWays: s.DDIOWays,
 				Grow: []int{bestG.CLOS}, Desc: fmt.Sprintf("greedy: +1 way clos %d", bestG.CLOS)}
-		} else {
-			a = Actions{State: HighKeep, DDIOWays: s.DDIOWays, Desc: "greedy: tenants saturated"}
 		}
-	default:
-		a = Actions{Stable: true, State: LowKeep, DDIOWays: s.DDIOWays, Desc: "stable"}
+		return Actions{State: HighKeep, DDIOWays: s.DDIOWays, Desc: "greedy: tenants saturated"}
 	}
-	p.h.note(a, s.DDIOWays)
-	return a
+	return Actions{Stable: true, State: LowKeep, DDIOWays: s.DDIOWays, Desc: "stable"}
 }

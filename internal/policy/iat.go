@@ -12,11 +12,8 @@ import (
 // by the regression tests in internal/core); the daemon retains the
 // mechanism (packing, programming, shuffle resolution, self-healing).
 type IAT struct {
-	cur     Sample
-	haveCur bool
-	prev    Sample
-	have    bool
-	h       Health
+	prev Sample
+	have bool
 }
 
 // NewIAT returns the paper's IAT policy.
@@ -25,69 +22,44 @@ func NewIAT() *IAT { return &IAT{} }
 // Name implements Policy.
 func (p *IAT) Name() string { return "iat" }
 
-// Kind implements Policy.
-func (p *IAT) Kind() Kind { return KindIAT }
-
-// Health implements Policy.
-func (p *IAT) Health() Health { return p.h }
-
 // Reset implements Policy: the comparison baseline is dropped, so the next
 // Decide warms up again (tenant change or degradation recovery).
-func (p *IAT) Reset() {
-	p.haveCur = false
-	p.have = false
-}
-
-// Observe implements Policy.
-func (p *IAT) Observe(s Sample) {
-	p.cur = s
-	p.haveCur = true
-}
+func (p *IAT) Reset() { p.have = false }
 
 // Decide implements Policy.
-func (p *IAT) Decide() Actions {
-	s := p.cur
-	p.h.Ticks++
-	if !p.haveCur {
-		a := Actions{Warmup: true, State: s.State, DDIOWays: s.DDIOWays}
-		p.h.note(a, s.DDIOWays)
-		return a
-	}
+func (p *IAT) Decide(s Sample) Actions {
 	if !p.have {
-		// First observed sample becomes the comparison baseline — the
+		// The first sample becomes the comparison baseline — the
 		// daemon's silent warmup tick.
 		p.prev = s
 		p.have = true
-		a := Actions{Warmup: true, State: s.State, DDIOWays: s.DDIOWays}
-		p.h.note(a, s.DDIOWays)
-		return a
+		return Actions{Warmup: true, State: s.State, DDIOWays: s.DDIOWays}
 	}
 	ch := detect(s, p.prev)
 	prev := p.prev
 	p.prev = s
 
-	var a Actions
-	if !ch.any {
-		// Stability gates TRANSITIONS, not progression: the paper's
-		// I/O Demand and Reclaim states keep moving one way per
-		// iteration until they reach DDIO_WAYS_MAX / DDIO_WAYS_MIN
-		// (Sec. IV-C), even when the counters have settled.
-		switch {
-		case s.State == Reclaim:
-			a = actFor(Reclaim, s)
-			a.Continue = true
-			a.Desc = "continue: " + a.Desc
-		case s.State == IODemand && s.DDIOMissPS > s.Limits.ThresholdMissLowPerSec:
-			a = actFor(IODemand, s)
-			a.Continue = true
-			a.Desc = "continue: " + a.Desc
-		default:
-			a = Actions{Stable: true, State: s.State, DDIOWays: s.DDIOWays, Desc: "stable"}
-		}
-	} else {
-		a = p.decide(s, prev, ch)
+	if ch.any {
+		return p.decide(s, prev, ch)
 	}
-	p.h.note(a, s.DDIOWays)
+	// Stability gates TRANSITIONS, not progression: the paper's I/O
+	// Demand and Reclaim states keep moving one way per iteration until
+	// they reach DDIO_WAYS_MAX / DDIO_WAYS_MIN (Sec. IV-C), even when the
+	// counters have settled.
+	switch {
+	case s.State == Reclaim:
+		return continueIn(Reclaim, s)
+	case s.State == IODemand && s.DDIOMissPS > s.Limits.ThresholdMissLowPerSec:
+		return continueIn(IODemand, s)
+	}
+	return Actions{Stable: true, State: s.State, DDIOWays: s.DDIOWays, Desc: "stable"}
+}
+
+// continueIn is the progression tick of a directional state.
+func continueIn(state State, s Sample) Actions {
+	a := actFor(state, s)
+	a.Continue = true
+	a.Desc = "continue: " + a.Desc
 	return a
 }
 

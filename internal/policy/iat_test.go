@@ -149,22 +149,19 @@ func TestUCPGrowthSteps(t *testing.T) {
 func TestIATWarmupAdoptsBaseline(t *testing.T) {
 	p := NewIAT()
 	s := sample(LowKeep, 2, 0)
-	p.Observe(s)
-	if a := p.Decide(); !a.Warmup {
-		t.Fatalf("first decision = %+v, want warmup", a)
-	}
-	p.Observe(s)
-	if a := p.Decide(); a.Warmup || !a.Stable || a.Desc != "stable" {
-		t.Fatalf("identical second sample = %+v, want stable", a)
-	}
+	first, second := p.Decide(s), p.Decide(s)
 	p.Reset()
-	p.Observe(s)
-	if a := p.Decide(); !a.Warmup {
-		t.Fatal("post-Reset decision should warm up")
+	third := p.Decide(s)
+	if second.Desc != "stable" {
+		t.Fatalf("identical second sample = %+v, want stable", second)
 	}
-	h := p.Health()
-	if h.Ticks != 3 || h.Warmups != 2 || h.Stable != 1 {
-		t.Fatalf("health = %+v", h)
+	var classes []string
+	for _, a := range []Actions{first, second, third} {
+		classes = append(classes, Classify(a, s.DDIOWays))
+	}
+	// A warmup first, a stable repeat, and a warmup again after Reset.
+	if got := strings.Join(classes, ","); got != "warmup,stable,warmup" {
+		t.Fatalf("decision classes = %s, want warmup,stable,warmup", got)
 	}
 }
 
@@ -173,16 +170,13 @@ func TestIATWarmupAdoptsBaseline(t *testing.T) {
 func TestIATContinueProgression(t *testing.T) {
 	p := NewIAT()
 	s := sample(Reclaim, 3, 0)
-	p.Observe(s)
-	p.Decide() // warmup
-	p.Observe(s)
-	a := p.Decide()
+	p.Decide(s) // warmup
+	a := p.Decide(s)
 	if !a.Continue || a.DDIOWays != 2 || a.Desc != "continue: ddio=2" {
 		t.Fatalf("first continue = %+v", a)
 	}
 	s = sample(Reclaim, 2, 0)
-	p.Observe(s)
-	a = p.Decide()
+	a = p.Decide(s)
 	if !a.Continue || a.DDIOWays != 1 || a.Desc != "continue: ddio=1 ->LowKeep" || a.State != LowKeep {
 		t.Fatalf("boundary continue = %+v", a)
 	}

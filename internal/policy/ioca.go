@@ -22,10 +22,8 @@ const (
 // holds otherwise. It only manages the DDIO/application boundary; tenant
 // widths are never touched.
 type IOCAStyle struct {
-	cur  Sample
 	hot  int // consecutive contended intervals
 	cold int // consecutive quiet intervals
-	h    Health
 }
 
 // NewIOCAStyle returns the IOCA-style contention-threshold policy.
@@ -34,26 +32,15 @@ func NewIOCAStyle() *IOCAStyle { return &IOCAStyle{} }
 // Name implements Policy.
 func (p *IOCAStyle) Name() string { return "ioca" }
 
-// Kind implements Policy.
-func (p *IOCAStyle) Kind() Kind { return KindIOCA }
-
-// Health implements Policy.
-func (p *IOCAStyle) Health() Health { return p.h }
-
 // Reset implements Policy: the hysteresis streaks restart.
 func (p *IOCAStyle) Reset() {
 	p.hot = 0
 	p.cold = 0
 }
 
-// Observe implements Policy.
-func (p *IOCAStyle) Observe(s Sample) { p.cur = s }
-
 // Decide implements Policy.
-func (p *IOCAStyle) Decide() Actions {
-	s := p.cur
+func (p *IOCAStyle) Decide(s Sample) Actions {
 	L := s.Limits
-	p.h.Ticks++
 
 	total := s.DDIOHitPS + s.DDIOMissPS
 	ratio := 0.0
@@ -75,7 +62,6 @@ func (p *IOCAStyle) Decide() Actions {
 		// a single borderline interval must not erase accumulated evidence.
 	}
 
-	var a Actions
 	switch {
 	case p.hot >= iocaPatience && !L.DisableDDIOAdjust && s.DDIOWays < L.DDIOWaysMax:
 		target := s.DDIOWays + 1
@@ -83,7 +69,7 @@ func (p *IOCAStyle) Decide() Actions {
 		if target >= L.DDIOWaysMax {
 			st = HighKeep
 		}
-		a = Actions{State: st, DDIOWays: target,
+		return Actions{State: st, DDIOWays: target,
 			Desc: fmt.Sprintf("ioca: contended (miss ratio %.2f) ddio=%d", ratio, target)}
 	case p.cold >= iocaPatience && !L.DisableDDIOAdjust && s.DDIOWays > L.DDIOWaysMin:
 		target := s.DDIOWays - 1
@@ -91,11 +77,8 @@ func (p *IOCAStyle) Decide() Actions {
 		if target <= L.DDIOWaysMin {
 			st = LowKeep
 		}
-		a = Actions{State: st, DDIOWays: target,
+		return Actions{State: st, DDIOWays: target,
 			Desc: fmt.Sprintf("ioca: quiet (miss ratio %.2f) ddio=%d", ratio, target)}
-	default:
-		a = Actions{Stable: true, State: s.State, DDIOWays: s.DDIOWays, Desc: "stable"}
 	}
-	p.h.note(a, s.DDIOWays)
-	return a
+	return Actions{Stable: true, State: s.State, DDIOWays: s.DDIOWays, Desc: "stable"}
 }

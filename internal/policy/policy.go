@@ -1,9 +1,9 @@
 // Package policy is the pluggable LLC-allocation decision engine. The
 // daemon (internal/core) owns the mechanism — polling counters,
 // sanity-screening samples, self-healing, packing and programming masks —
-// and delegates *what to do* to a Policy: each iteration it hands the
-// policy one sanity-screened Sample and executes the Actions the policy
-// returns. The paper's IAT FSM is one Policy (the default); the paper's
+// and delegates *what to do* to a Policy: each iteration it passes one
+// sanity-screened Sample to the policy's Decide and executes the Actions
+// it returns. The paper's IAT FSM is one Policy (the default); the paper's
 // Fig. 10 comparators Core-only and I/O-iso (CoreOnly), Static, IOCAStyle
 // (after IOCA, arXiv:2007.04552) and Greedy are alternative managers that
 // run on identical deterministic inputs, either as the active policy or
@@ -11,7 +11,7 @@
 // the active one.
 //
 // Policies are pure, deterministic state machines over the samples they
-// Observe: no wall clock, no global randomness, no goroutines — the same
+// are handed: no wall clock, no global randomness, no goroutines — the same
 // sample sequence always yields the same action sequence, which is what
 // makes shadow evaluation and policy tournaments byte-reproducible.
 package policy
@@ -191,42 +191,6 @@ type Actions struct {
 	Layout map[int]cache.WayMask
 }
 
-// Health counts a policy's decision mix, for summaries and tournaments.
-type Health struct {
-	Ticks        uint64 // samples decided on (warmups included)
-	Warmups      uint64
-	Stable       uint64
-	GrowDDIO     uint64
-	ShrinkDDIO   uint64
-	GrowTenant   uint64
-	ShrinkTenant uint64
-	Shuffles     uint64
-	Holds        uint64
-}
-
-// note classifies one decision into the health counters. prevDDIO is the
-// sample's DDIO way count the decision was made against.
-func (h *Health) note(a Actions, prevDDIO int) {
-	switch Classify(a, prevDDIO) {
-	case "warmup":
-		h.Warmups++
-	case "stable":
-		h.Stable++
-	case "shuffle":
-		h.Shuffles++
-	case "grow-ddio":
-		h.GrowDDIO++
-	case "shrink-ddio":
-		h.ShrinkDDIO++
-	case "grow-tenant":
-		h.GrowTenant++
-	case "shrink-tenant":
-		h.ShrinkTenant++
-	default:
-		h.Holds++
-	}
-}
-
 // Classify names the decision class of a — the agreement unit of shadow
 // evaluation. prevDDIO is the DDIO way count the decision was made
 // against. A layout that widens and narrows nothing is a shuffle.
@@ -250,28 +214,23 @@ func Classify(a Actions, prevDDIO int) string {
 	return "hold"
 }
 
-// Policy is one LLC-allocation decision engine. The daemon drives it
-// strictly as Observe(sample) then Decide() once per accepted iteration;
-// Reset clears all internal baselines (tenant change, degradation, or
-// policy switch — old deltas are meaningless afterward).
+// Policy is one LLC-allocation decision engine. The daemon calls Decide
+// once per accepted iteration with that iteration's sample; Reset clears
+// all internal baselines (tenant change, degradation, or policy switch —
+// old deltas are meaningless afterward).
 type Policy interface {
 	// Name identifies the instance (e.g. "iat", "static:2") — used as
-	// the telemetry scope and in tournament rows.
+	// the telemetry scope, in tournament rows, and to match a checkpoint
+	// to the instance it was taken from.
 	Name() string
-	// Kind identifies the implementation.
-	Kind() Kind
 	// Reset drops all internal state (comparison baselines, hysteresis
 	// counters). The next Decide after a Reset is free to warm up.
 	Reset()
-	// Observe hands the policy the current sanity-screened sample.
-	Observe(s Sample)
-	// Decide returns the decision for the last observed sample.
-	Decide() Actions
-	// Health returns the running decision-mix counters.
-	Health() Health
+	// Decide returns the decision for sample s.
+	Decide(s Sample) Actions
 	// Snapshot serialises the policy's internal state (baselines,
-	// hysteresis streaks, health counters) for checkpointing.
-	// Deterministic: identical state yields identical bytes.
+	// hysteresis streaks) for checkpointing. Deterministic: identical
+	// state yields identical bytes.
 	Snapshot() ([]byte, error)
 	// Restore rewinds the policy to a Snapshot taken from an instance
 	// with the same Name. A failed restore leaves the policy unchanged

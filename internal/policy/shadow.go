@@ -135,8 +135,7 @@ func (e *Evaluator) Tick(s Sample, active Actions, appliedDDIO cache.WayMask) {
 			sh.init = true
 		}
 		cs := e.rebase(s, sh)
-		sh.pol.Observe(cs)
-		a := sh.pol.Decide()
+		a := sh.pol.Decide(cs)
 		e.commit(sh, cs, a)
 
 		shadowClass := Classify(a, cs.DDIOWays)
@@ -296,13 +295,13 @@ type evaluatorState struct {
 
 // shadowSnap is one shadow's serialised counterfactual machine.
 type shadowSnap struct {
-	Name     string        `json:"name"`
-	PolState []byte        `json:"pol_state"`
-	Init     bool          `json:"init"`
-	State    State         `json:"state"`
-	DDIO     int           `json:"ddio"`
-	Width    map[int]int   `json:"width,omitempty"`
-	Sum      ShadowSummary `json:"sum"`
+	Name     string          `json:"name"`
+	PolState json.RawMessage `json:"pol_state"`
+	Init     bool            `json:"init"`
+	State    State           `json:"state"`
+	DDIO     int             `json:"ddio"`
+	Width    map[int]int     `json:"width,omitempty"`
+	Sum      ShadowSummary   `json:"sum"`
 }
 
 // Snapshot serialises every shadow's policy state, counterfactual
@@ -349,6 +348,9 @@ func (e *Evaluator) Restore(data []byte) error {
 	for i, sh := range st.Shadows {
 		if got := e.shadows[i].pol.Name(); got != sh.Name {
 			return fmt.Errorf("policy: restore evaluator: shadow %d is %q in snapshot, %q here", i, sh.Name, got)
+		}
+		if Absent(sh.PolState) {
+			return fmt.Errorf("policy: restore evaluator: shadow %q has no policy state", sh.Name)
 		}
 	}
 	for i, snap := range st.Shadows {

@@ -8,25 +8,28 @@ import (
 )
 
 // Policy snapshot/restore: every policy can serialise its internal state
-// (comparison baselines, hysteresis streaks, health counters) so a
+// (comparison baselines, hysteresis streaks, packing order) so a
 // checkpointed daemon resumes deciding exactly where it left off. The
 // encodings are JSON over structs of exported fields — field order is
 // the struct order and maps encode with sorted keys, so identical state
 // always yields identical bytes (the determinism regime the
 // checkpoint envelope's byte-compare guarantee rests on).
 
-// iatState is IAT's serialised form.
+// Absent reports whether a nested snapshot is missing or JSON null — both
+// mean "no state was recorded".
+func Absent(raw json.RawMessage) bool {
+	return len(raw) == 0 || string(raw) == "null"
+}
+
+// iatState is IAT's serialised form: the comparison baseline.
 type iatState struct {
-	Cur     Sample `json:"cur"`
-	HaveCur bool   `json:"have_cur"`
-	Prev    Sample `json:"prev"`
-	Have    bool   `json:"have"`
-	H       Health `json:"health"`
+	Prev Sample `json:"prev"`
+	Have bool   `json:"have"`
 }
 
 // Snapshot implements Policy.
 func (p *IAT) Snapshot() ([]byte, error) {
-	return json.Marshal(iatState{Cur: p.cur, HaveCur: p.haveCur, Prev: p.prev, Have: p.have, H: p.h})
+	return json.Marshal(iatState{Prev: p.prev, Have: p.have})
 }
 
 // Restore implements Policy.
@@ -35,22 +38,20 @@ func (p *IAT) Restore(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("policy: restore iat: %w", err)
 	}
-	p.cur, p.haveCur, p.prev, p.have, p.h = st.Cur, st.HaveCur, st.Prev, st.Have, st.H
+	p.prev, p.have = st.Prev, st.Have
 	return nil
 }
 
-// staticState is Static's serialised form. Ways is configuration, but it
-// is carried so a restore into a differently-configured instance is
-// rejected instead of silently changing the target.
+// staticState is Static's serialised form. Its only field is
+// configuration, carried so a restore into a differently-configured
+// instance is rejected instead of silently changing the target.
 type staticState struct {
-	Ways int    `json:"ways"`
-	Cur  Sample `json:"cur"`
-	H    Health `json:"health"`
+	Ways int `json:"ways"`
 }
 
 // Snapshot implements Policy.
 func (p *Static) Snapshot() ([]byte, error) {
-	return json.Marshal(staticState{Ways: p.ways, Cur: p.cur, H: p.h})
+	return json.Marshal(staticState{Ways: p.ways})
 }
 
 // Restore implements Policy.
@@ -62,21 +63,18 @@ func (p *Static) Restore(data []byte) error {
 	if st.Ways != p.ways {
 		return fmt.Errorf("policy: restore static: snapshot is for static:%d, this instance is static:%d", st.Ways, p.ways)
 	}
-	p.cur, p.h = st.Cur, st.H
 	return nil
 }
 
 // iocaState is IOCAStyle's serialised form.
 type iocaState struct {
-	Cur  Sample `json:"cur"`
-	Hot  int    `json:"hot"`
-	Cold int    `json:"cold"`
-	H    Health `json:"health"`
+	Hot  int `json:"hot"`
+	Cold int `json:"cold"`
 }
 
 // Snapshot implements Policy.
 func (p *IOCAStyle) Snapshot() ([]byte, error) {
-	return json.Marshal(iocaState{Cur: p.cur, Hot: p.hot, Cold: p.cold, H: p.h})
+	return json.Marshal(iocaState{Hot: p.hot, Cold: p.cold})
 }
 
 // Restore implements Policy.
@@ -85,29 +83,20 @@ func (p *IOCAStyle) Restore(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("policy: restore ioca: %w", err)
 	}
-	p.cur, p.hot, p.cold, p.h = st.Cur, st.Hot, st.Cold, st.H
+	p.hot, p.cold = st.Hot, st.Cold
 	return nil
 }
 
-// greedyState is Greedy's serialised form (memoryless beyond the last
-// sample and the health counters).
-type greedyState struct {
-	Cur Sample `json:"cur"`
-	H   Health `json:"health"`
-}
+// Snapshot implements Policy: Greedy is memoryless, so its state is the
+// empty object.
+func (p *Greedy) Snapshot() ([]byte, error) { return []byte("{}"), nil }
 
-// Snapshot implements Policy.
-func (p *Greedy) Snapshot() ([]byte, error) {
-	return json.Marshal(greedyState{Cur: p.cur, H: p.h})
-}
-
-// Restore implements Policy.
+// Restore implements Policy: any JSON object is accepted.
 func (p *Greedy) Restore(data []byte) error {
-	var st greedyState
+	var st struct{}
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("policy: restore greedy: %w", err)
 	}
-	p.cur, p.h = st.Cur, st.H
 	return nil
 }
 
@@ -118,17 +107,15 @@ func (p *Greedy) Restore(data []byte) error {
 // sorted keys, so the bytes stay deterministic.
 type coreOnlyState struct {
 	Isolate  bool            `json:"isolate"`
-	Cur      Sample          `json:"cur"`
 	Order    []int           `json:"order"`
 	PrevMiss map[int]float64 `json:"prev_miss"`
 	LastDDIO cache.WayMask   `json:"last_ddio"`
-	H        Health          `json:"health"`
 }
 
 // Snapshot implements Policy.
 func (p *CoreOnly) Snapshot() ([]byte, error) {
-	return json.Marshal(coreOnlyState{Isolate: p.isolate, Cur: p.cur, Order: p.order,
-		PrevMiss: p.prevMiss, LastDDIO: p.lastDDIO, H: p.h})
+	return json.Marshal(coreOnlyState{Isolate: p.isolate, Order: p.order,
+		PrevMiss: p.prevMiss, LastDDIO: p.lastDDIO})
 }
 
 // Restore implements Policy.
@@ -140,6 +127,6 @@ func (p *CoreOnly) Restore(data []byte) error {
 	if st.Isolate != p.isolate {
 		return fmt.Errorf("policy: restore %s: snapshot is for another comparator", p.Name())
 	}
-	p.cur, p.order, p.prevMiss, p.lastDDIO, p.h = st.Cur, st.Order, st.PrevMiss, st.LastDDIO, st.H
+	p.order, p.prevMiss, p.lastDDIO = st.Order, st.PrevMiss, st.LastDDIO
 	return nil
 }

@@ -36,8 +36,7 @@ func drive(p Policy, from, to int) []string {
 		}
 		s.DDIOHitPS = 1e7 + float64(i%5)*3e6
 		s.TotalRefsPS = 2e7
-		p.Observe(s)
-		out = append(out, p.Decide().Desc)
+		out = append(out, p.Decide(s).Desc)
 	}
 	return out
 }
@@ -69,9 +68,6 @@ func TestPolicySnapshotRoundTrip(t *testing.T) {
 			}
 			if !bytes.Equal(snap, resnap) {
 				t.Fatalf("restore+snapshot not byte-identical:\n%s\nvs\n%s", snap, resnap)
-			}
-			if restored.Health() != orig.Health() {
-				t.Fatalf("restored health %+v, want %+v", restored.Health(), orig.Health())
 			}
 			got := drive(restored, 25, 40)
 			want := wantAll[25:]
@@ -155,6 +151,24 @@ func TestEvaluatorSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := NewEvaluator(mustSpecs(t, "greedy,static:5")).Restore(snap); err == nil {
 		t.Error("evaluator with reordered shadows accepted the snapshot")
+	}
+}
+
+// TestEvaluatorSnapshotNestsPolicyState: each shadow's policy state is
+// nested as a JSON value (not a base64 string), and a null one restores
+// as absent — an error, never a silently zeroed policy.
+func TestEvaluatorSnapshotNestsPolicyState(t *testing.T) {
+	e := NewEvaluator(mustSpecs(t, "static:5"))
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(snap, []byte(`"pol_state":{"ways":5}`)) {
+		t.Fatalf("snapshot does not nest the policy state as JSON: %s", snap)
+	}
+	null := bytes.Replace(snap, []byte(`{"ways":5}`), []byte("null"), 1)
+	if err := NewEvaluator(mustSpecs(t, "static:5")).Restore(null); err == nil {
+		t.Error("a null shadow policy state was accepted")
 	}
 }
 

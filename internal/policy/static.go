@@ -14,8 +14,6 @@ const DefaultStaticWays = 2
 // daemon is deployed.
 type Static struct {
 	ways int
-	cur  Sample
-	h    Health
 }
 
 // NewStatic returns a fixed-allocation policy holding ways DDIO ways.
@@ -29,22 +27,11 @@ func NewStatic(ways int) *Static {
 // Name implements Policy.
 func (p *Static) Name() string { return fmt.Sprintf("static:%d", p.ways) }
 
-// Kind implements Policy.
-func (p *Static) Kind() Kind { return KindStatic }
-
-// Health implements Policy.
-func (p *Static) Health() Health { return p.h }
-
 // Reset implements Policy (stateless beyond the target).
 func (p *Static) Reset() {}
 
-// Observe implements Policy.
-func (p *Static) Observe(s Sample) { p.cur = s }
-
 // Decide implements Policy: converge to the fixed target, then hold.
-func (p *Static) Decide() Actions {
-	s := p.cur
-	p.h.Ticks++
+func (p *Static) Decide(s Sample) Actions {
 	target := p.ways
 	if target < s.Limits.DDIOWaysMin {
 		target = s.Limits.DDIOWaysMin
@@ -52,12 +39,8 @@ func (p *Static) Decide() Actions {
 	if target > s.Limits.DDIOWaysMax {
 		target = s.Limits.DDIOWaysMax
 	}
-	var a Actions
 	if !s.Limits.DisableDDIOAdjust && target != s.DDIOWays {
-		a = Actions{State: LowKeep, DDIOWays: target, Desc: fmt.Sprintf("static: ddio=%d", target)}
-	} else {
-		a = Actions{Stable: true, State: LowKeep, DDIOWays: s.DDIOWays, Desc: "stable"}
+		return Actions{State: LowKeep, DDIOWays: target, Desc: fmt.Sprintf("static: ddio=%d", target)}
 	}
-	p.h.note(a, s.DDIOWays)
-	return a
+	return Actions{Stable: true, State: LowKeep, DDIOWays: s.DDIOWays, Desc: "stable"}
 }

@@ -24,6 +24,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -150,7 +151,9 @@ func parseEvent(fields []string) (Event, error) {
 	ts := strings.TrimPrefix(fields[0], "@")
 	ts = strings.TrimSuffix(ts, "s")
 	sec, err := strconv.ParseFloat(ts, 64)
-	if err != nil || sec < 0 {
+	// NaN fails sec >= 0; +Inf (or a finite time too large for
+	// nanoseconds) fails the finiteness check on the scaled value.
+	if err != nil || !(sec >= 0) || math.IsInf(sec*1e9, 0) {
 		return Event{}, fmt.Errorf("bad event time %q", fields[0])
 	}
 	arg, err := strconv.Atoi(fields[3])

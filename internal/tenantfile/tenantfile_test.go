@@ -1,6 +1,7 @@
 package tenantfile
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -108,16 +109,41 @@ job    4  2  pc  -   xmem:2
 func TestParseEventErrors(t *testing.T) {
 	base := "a 0 2 pc io\n"
 	cases := map[string]string{
-		"wrong columns":   base + "@3s job xmem-ws\n",
-		"bad time":        base + "@banana job xmem-ws 10\n",
-		"negative arg":    base + "@3s job xmem-ws 0\n",
-		"unknown action":  base + "@3s job reboot 1\n",
-		"unknown tenant":  base + "@3s ghost xmem-ws 10\n",
-		"ddio bad action": base + "@3s ddio xmem-ws 10\n",
+		"wrong columns":    base + "@3s job xmem-ws\n",
+		"bad time":         base + "@banana job xmem-ws 10\n",
+		"NaN time":         base + "@NaNs ddio ways 3\n",
+		"infinite time":    base + "@Infs ddio ways 2\n",
+		"overflowing time": base + "@1e300s ddio ways 2\n",
+		"negative arg":     base + "@3s job xmem-ws 0\n",
+		"unknown action":   base + "@3s job reboot 1\n",
+		"unknown tenant":   base + "@3s ghost xmem-ws 10\n",
+		"ddio bad action":  base + "@3s ddio xmem-ws 10\n",
 	}
 	for name, input := range cases {
 		if _, _, err := ParseWithEvents(strings.NewReader(input)); err == nil {
 			t.Errorf("%s: accepted %q", name, input)
 		}
 	}
+}
+
+// FuzzParseWithEvents: arbitrary tenant files never panic, and every
+// accepted event time is finite and non-negative.
+func FuzzParseWithEvents(f *testing.F) {
+	f.Add(goodFile)
+	f.Add("fwd 0 3 pc io testpmd:1500\n@3s fwd xmem-ws 10\n@7.5s ddio ways 4\n")
+	f.Add("a 0 2 pc io\n@NaNs ddio ways 3\n")
+	f.Add("a 0 2 pc io\n@Infs ddio ways 2\n")
+	f.Add("a 0 2 pc io\n@-1s ddio ways 2\n")
+	f.Add("a 0,1 2 be - xmem:8 # c\n\n# only a comment\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		_, events, err := ParseWithEvents(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		for _, ev := range events {
+			if !(ev.AtNS >= 0) || math.IsInf(ev.AtNS, 0) {
+				t.Fatalf("accepted event time %v in %q", ev.AtNS, text)
+			}
+		}
+	})
 }
